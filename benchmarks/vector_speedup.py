@@ -32,7 +32,7 @@ import os
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.pap import ParallelAutomataProcessor
-from repro.exec import SerialBackend, VectorBackend
+from repro.exec import SerialBackend
 from repro.perf.measure import measure_wall
 from repro.workloads.suite import build_benchmark
 
@@ -55,7 +55,9 @@ def main() -> None:
             lambda: pap.run(data, backend=SerialBackend()), warmup=0, repeats=1
         )
         vector_run, vector_wall = measure_wall(
-            lambda: pap.run(data, backend=VectorBackend()), warmup=0, repeats=1
+            lambda: pap.run(data, backend=SerialBackend(strategy="vector")),
+            warmup=0,
+            repeats=1,
         )
 
         assert vector_run.reports == serial_run.reports

@@ -55,7 +55,6 @@ from repro.errors import (
 from repro.exec import (
     AdmissionPolicy,
     BACKEND_NAMES,
-    CircuitBreaker,
     FaultPlan,
     FaultSpec,
     HedgePolicy,
@@ -213,48 +212,21 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
             "result wins (bit-exact either way)"
         ),
     )
-    parser.add_argument(
-        "--breaker-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "circuit breaker on --backend process: N consecutive "
-            "infrastructure failures (worker crashes / dispatch "
-            "timeouts) open the breaker and the run fast-fails to "
-            "in-process execution with a RunHealth reason code"
-        ),
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "admission guard: refuse or chunk runs whose predicted "
-            "peak host memory exceeds BYTES (see --admission-mode)"
-        ),
-    )
-    parser.add_argument(
-        "--admission-mode",
-        choices=("chunk", "refuse"),
-        default="chunk",
-        help=(
-            "over-budget response: 'chunk' bounds in-flight segment "
-            "dispatches to fit the budget, 'refuse' fails the run "
-            "before execution (default chunk)"
-        ),
-    )
 
 
 def _resilience_from_args(
     args: argparse.Namespace,
-) -> tuple[RetryPolicy | None, FaultPlan | None]:
-    """Build the recovery policy and fault plan from CLI flags.
+) -> tuple[RetryPolicy | None, FaultPlan | None, HedgePolicy | None]:
+    """Build the recovery policy, fault plan and hedge policy from CLI
+    flags; the checkpoint path and resume flag pass through as
+    ``args.checkpoint`` / ``args.resume``.
 
-    Raises :class:`ConfigurationError` on invalid values — the caller
-    maps that to a usage error (exit 2), same as bad backend flags.
+    Raises :class:`ConfigurationError` on invalid values or
+    combinations — the caller maps that to a usage error (exit 2), same
+    as bad backend flags.
     """
+    if args.resume and not args.checkpoint:
+        raise ConfigurationError("--resume needs --checkpoint DIR")
     retry = None
     if args.retries or args.segment_timeout is not None:
         retry = RetryPolicy(
@@ -264,39 +236,12 @@ def _resilience_from_args(
     faults = (
         FaultPlan.parse(args.inject_faults) if args.inject_faults else None
     )
-    return retry, faults
-
-
-def _durability_from_args(
-    args: argparse.Namespace,
-) -> tuple[HedgePolicy | None, CircuitBreaker | None, AdmissionPolicy | None]:
-    """Build the durability policies from CLI flags.
-
-    Returns ``(hedge, breaker, admission)``; the checkpoint path and
-    resume flag pass through as ``args.checkpoint`` / ``args.resume``.
-    Raises :class:`ConfigurationError` on invalid combinations.
-    """
-    if args.resume and not args.checkpoint:
-        raise ConfigurationError("--resume needs --checkpoint DIR")
     hedge = (
         HedgePolicy(mad_multiplier=args.hedge_after)
         if args.hedge_after is not None
         else None
     )
-    breaker = (
-        CircuitBreaker(fail_threshold=args.breaker_after)
-        if args.breaker_after is not None
-        else None
-    )
-    admission = (
-        AdmissionPolicy(
-            memory_budget_bytes=args.memory_budget,
-            mode=args.admission_mode,
-        )
-        if args.memory_budget is not None
-        else None
-    )
-    return hedge, breaker, admission
+    return retry, faults, hedge
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -417,11 +362,6 @@ def _print_run_text(summary: dict) -> None:
                 f"{health.get('downgraded_at_segment')}]"
             )
         print(line)
-    if health.get("breaker_state"):
-        line = f"breaker          : {health['breaker_state']}"
-        if health.get("breaker_reason"):
-            line += f" ({health['breaker_reason']})"
-        print(line)
     ckpt = summary.get("checkpoint")
     if ckpt:
         print(
@@ -468,10 +408,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else DEFAULT_CONFIG
     )
     try:
-        retry, faults = _resilience_from_args(args)
-        hedge, breaker, admission = _durability_from_args(args)
+        retry, faults, hedge = _resilience_from_args(args)
+        admission = (
+            AdmissionPolicy(
+                memory_budget_bytes=args.memory_budget,
+                mode=args.admission_mode,
+            )
+            if args.memory_budget is not None
+            else None
+        )
         backend = resolve_backend(
-            args.backend, workers=args.workers, hedge=hedge, breaker=breaker
+            args.backend, workers=args.workers, hedge=hedge
         )
     except ConfigurationError as error:
         print(f"repro run: {error}", file=sys.stderr)
@@ -837,8 +784,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 1
     try:
-        retry, faults = _resilience_from_args(args)
-        hedge, breaker, _ = _durability_from_args(args)
+        retry, faults, hedge = _resilience_from_args(args)
     except ConfigurationError as error:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 2
@@ -859,7 +805,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             retry=retry,
             faults=faults,
             hedge=hedge,
-            breaker=breaker,
             checkpoint=args.checkpoint,
             resume=args.resume,
             progress=lambda line: print(line, file=sys.stderr),
@@ -1343,6 +1288,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend(run_parser)
     _add_resilience(run_parser)
+    run_parser.add_argument(
+        "--memory-budget",
+        type=int,
+        default=None,
+        metavar="BYTES",
+        help=(
+            "admission guard: refuse or chunk runs whose predicted "
+            "peak host memory exceeds BYTES (see --admission-mode)"
+        ),
+    )
+    run_parser.add_argument(
+        "--admission-mode",
+        choices=("chunk", "refuse"),
+        default="chunk",
+        help=(
+            "over-budget response: 'chunk' bounds in-flight segment "
+            "dispatches to fit the budget, 'refuse' fails the run "
+            "before execution (default chunk)"
+        ),
+    )
     _add_common(run_parser)
 
     chaos_parser = commands.add_parser(

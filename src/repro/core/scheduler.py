@@ -39,7 +39,6 @@ timing live in :mod:`repro.core.composition` and :mod:`repro.core.pap`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import TYPE_CHECKING
 
 from repro.automata.analysis import AutomatonAnalysis
@@ -243,17 +242,13 @@ class SegmentScheduler:
             },
         )
         execution = self._new_flow()
-        phases = obs.phases
-        if phases.enabled:
-            wall0 = perf_counter_ns()
-            execution.run(data[segment.start : segment.end], segment.start)
-            phases.add(
-                PHASE_TRANSITION,
-                segment.index,
-                perf_counter_ns() - wall0,
-            )
-        else:
-            execution.run(data[segment.start : segment.end], segment.start)
+        obs.phases.timed(
+            PHASE_TRANSITION,
+            segment.index,
+            execution.run,
+            data[segment.start : segment.end],
+            segment.start,
+        )
         buffer = OutputEventBuffer(observer=obs, track=track)
         buffer.push_all(execution.reports, GOLDEN_FLOW_ID)
         events = buffer.drain()
@@ -384,13 +379,11 @@ class SegmentScheduler:
         slice_symbols = config.tdm_slice_symbols
         switch_cost = config.timing.context_switch_cycles
 
-        # Wall-domain phase accounting (repro.obs.phases).  Disabled,
-        # this is one attribute read here and plain branches below —
-        # the clock is never touched.  Enabled, costs accumulate into
-        # locals and flush to the recorder once per segment.
-        phases = obs.phases
-        profiling = phases.enabled
-        wall_transition = wall_switch = wall_convergence = 0
+        # Wall-domain phase accounting (repro.obs.phases): each timed
+        # call charges one slice- or flow-level region, never a symbol;
+        # with the null recorder it is a plain call.
+        timed = obs.phases.timed
+        index = segment.index
 
         while position < segment.end:
             length = min(slice_symbols, segment.end - position)
@@ -403,15 +396,11 @@ class SegmentScheduler:
                 if flow.kind != "asg":
                     continue
                 if pay_switch and step > 0:
-                    if profiling:
-                        wall0 = perf_counter_ns()
-                        svc.restore(flow.flow_id)
-                        wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.restore(flow.flow_id)
-                if profiling:
-                    wall0 = perf_counter_ns()
-                consumed = self._process_asg_slice(
+                    timed(PHASE_SWITCH, index, svc.restore, flow.flow_id)
+                consumed = timed(
+                    PHASE_TRANSITION,
+                    index,
+                    self._process_asg_slice,
                     flow,
                     data,
                     position,
@@ -419,30 +408,25 @@ class SegmentScheduler:
                     asg_snapshots,
                     first_step=step == 0,
                 )
-                if profiling:
-                    wall_transition += perf_counter_ns() - wall0
                 time += consumed + (switch_cost if pay_switch else 0)
             asg_end = asg_snapshots.get(length, frozenset())
             for flow in live:
                 if flow.kind == "asg" and pay_switch:
-                    if profiling:
-                        wall0 = perf_counter_ns()
-                        svc.save(flow.flow_id, StateVector(active=asg_end))
-                        wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.save(flow.flow_id, StateVector(active=asg_end))
+                    timed(
+                        PHASE_SWITCH,
+                        index,
+                        svc.save,
+                        flow.flow_id,
+                        StateVector(active=asg_end),
+                    )
                 if flow.kind != "enum":
                     continue
                 if pay_switch and step > 0:
-                    if profiling:
-                        wall0 = perf_counter_ns()
-                        svc.restore(flow.flow_id)
-                        wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.restore(flow.flow_id)
-                if profiling:
-                    wall0 = perf_counter_ns()
-                consumed = self._process_slice(
+                    timed(PHASE_SWITCH, index, svc.restore, flow.flow_id)
+                consumed = timed(
+                    PHASE_TRANSITION,
+                    index,
+                    self._process_slice,
                     flow,
                     data,
                     position,
@@ -455,29 +439,22 @@ class SegmentScheduler:
                     time_base=time,
                     track=track,
                 )
-                if profiling:
-                    wall_transition += perf_counter_ns() - wall0
                 time += consumed + (switch_cost if pay_switch else 0)
                 if flow.alive and (config.use_deactivation or pay_switch):
-                    if profiling:
-                        wall0 = perf_counter_ns()
-                    vector = flow.execution.state_vector()
-                    if config.use_deactivation and vector == asg_end:
-                        self._deactivate(
-                            flow,
-                            position + length,
-                            history,
-                            metrics,
-                            svc=svc,
-                            cycle=time,
-                            track=track,
-                        )
-                    elif pay_switch:
-                        svc.save(
-                            flow.flow_id, StateVector(active=vector)
-                        )
-                    if profiling:
-                        wall_switch += perf_counter_ns() - wall0
+                    timed(
+                        PHASE_SWITCH,
+                        index,
+                        self._end_slice,
+                        flow,
+                        asg_end,
+                        position + length,
+                        history,
+                        metrics,
+                        pay_switch=pay_switch,
+                        svc=svc,
+                        cycle=time,
+                        track=track,
+                    )
             position += length
             step += 1
             metrics.tdm_steps = step
@@ -491,46 +468,29 @@ class SegmentScheduler:
                 )
 
             if fiv_pending and time >= fiv_time:
-                if profiling:
-                    wall0 = perf_counter_ns()
                 fiv_pending = False
-                metrics.fiv_applied_at = time
                 assert unit_truth is not None
-                for flow in flows:
-                    if (
-                        flow.alive
-                        and flow.kind == "enum"
-                        and not any(unit_truth.get(u, False) for u in flow.unit_ids)
-                    ):
-                        flow.alive = False
-                        metrics.fiv_invalidations += 1
-                        svc.invalidate(flow.flow_id)
-                        obs.metrics.counter("flows.fiv_killed").inc()
-                        if obs.enabled:
-                            obs.instant(
-                                "flow-fiv-kill",
-                                track=track,
-                                cycle=time,
-                                args={"flow": flow.flow_id},
-                            )
-                if obs.enabled:
-                    obs.instant(
-                        "fiv-applied",
-                        track=track,
-                        cycle=time,
-                        args={"killed": metrics.fiv_invalidations},
-                    )
-                if profiling:
-                    wall_switch += perf_counter_ns() - wall0
+                timed(
+                    PHASE_SWITCH,
+                    index,
+                    self._apply_fiv,
+                    flows,
+                    unit_truth,
+                    metrics,
+                    svc=svc,
+                    cycle=time,
+                    track=track,
+                )
 
             if (
                 config.use_convergence
                 and step % config.convergence_period_steps == 0
             ):
                 before = metrics.convergence_comparisons
-                if profiling:
-                    wall0 = perf_counter_ns()
-                self._converge(
+                timed(
+                    PHASE_CONVERGENCE,
+                    index,
+                    self._converge,
                     flows,
                     position,
                     history,
@@ -539,8 +499,6 @@ class SegmentScheduler:
                     cycle=time,
                     track=track,
                 )
-                if profiling:
-                    wall_convergence += perf_counter_ns() - wall0
                 if not config.timing.convergence_checks_overlapped:
                     # Section 3.3.3: checks *can* be overlapped because
                     # the state vector cache is idle during symbol
@@ -551,14 +509,6 @@ class SegmentScheduler:
                     ) * config.timing.convergence_check_cycles
                     time += inline_cycles
                     metrics.convergence_check_cycles += inline_cycles
-
-        if profiling:
-            index = segment.index
-            phases.add(PHASE_TRANSITION, index, wall_transition)
-            if wall_switch:
-                phases.add(PHASE_SWITCH, index, wall_switch)
-            if wall_convergence:
-                phases.add(PHASE_CONVERGENCE, index, wall_convergence)
 
         metrics.symbol_cycles = sum(
             flow.execution.symbols_processed for flow in flows
@@ -698,6 +648,75 @@ class SegmentScheduler:
             return consumed
         flow.execution.run(data[position : position + length], position)
         return length
+
+    def _end_slice(
+        self,
+        flow: _RuntimeFlow,
+        asg_end: frozenset[int],
+        position: int,
+        history: dict[int, list[tuple[int, int]]],
+        metrics: SegmentMetrics,
+        *,
+        pay_switch: bool,
+        svc: StateVectorCache,
+        cycle: int,
+        track: str,
+    ) -> None:
+        """Context-switch a flow out at the end of its slice: deactivate
+        it when its vector equals the ASG reference, else save the
+        vector to its SVC slot when another flow runs next."""
+        vector = flow.execution.state_vector()
+        if self.config.use_deactivation and vector == asg_end:
+            self._deactivate(
+                flow,
+                position,
+                history,
+                metrics,
+                svc=svc,
+                cycle=cycle,
+                track=track,
+            )
+        elif pay_switch:
+            svc.save(flow.flow_id, StateVector(active=vector))
+
+    def _apply_fiv(
+        self,
+        flows: list[_RuntimeFlow],
+        unit_truth: dict[int, bool],
+        metrics: SegmentMetrics,
+        *,
+        svc: StateVectorCache,
+        cycle: int,
+        track: str,
+    ) -> None:
+        """Apply the flow-invalidation vector (Section 3.4): kill every
+        live enumeration flow whose units are all false."""
+        metrics.fiv_applied_at = cycle
+        obs = self.observer
+        for flow in flows:
+            if (
+                flow.alive
+                and flow.kind == "enum"
+                and not any(unit_truth.get(u, False) for u in flow.unit_ids)
+            ):
+                flow.alive = False
+                metrics.fiv_invalidations += 1
+                svc.invalidate(flow.flow_id)
+                obs.metrics.counter("flows.fiv_killed").inc()
+                if obs.enabled:
+                    obs.instant(
+                        "flow-fiv-kill",
+                        track=track,
+                        cycle=cycle,
+                        args={"flow": flow.flow_id},
+                    )
+        if obs.enabled:
+            obs.instant(
+                "fiv-applied",
+                track=track,
+                cycle=cycle,
+                args={"killed": metrics.fiv_invalidations},
+            )
 
     def _deactivate(
         self,

@@ -5,8 +5,7 @@ dependency rules, bit-exactness), :mod:`repro.exec.worker` for the
 spawn-safe worker protocol, :mod:`repro.exec.faults` for deterministic
 fault injection, :mod:`repro.exec.resilience` for the retry/backoff
 policy and run-health accounting, and :mod:`repro.exec.durability` for
-the checkpoint/resume store, straggler hedging, circuit breaker, and
-admission guard.
+the checkpoint/resume store, straggler hedging, and admission guard.
 """
 
 from repro.exec.backend import (
@@ -17,7 +16,6 @@ from repro.exec.backend import (
     SegmentOutcome,
     SerialBackend,
     TRACK_EXEC,
-    VectorBackend,
     resolve_backend,
 )
 from repro.exec.durability import (
@@ -25,7 +23,6 @@ from repro.exec.durability import (
     AdmissionPolicy,
     CheckpointRun,
     CheckpointStore,
-    CircuitBreaker,
     HedgePolicy,
     cycle_fingerprint,
     run_fingerprint,
@@ -48,7 +45,6 @@ __all__ = [
     "BACKEND_NAMES",
     "CheckpointRun",
     "CheckpointStore",
-    "CircuitBreaker",
     "DEFAULT_RETRY_POLICY",
     "ExecutionBackend",
     "ExecutionContext",
@@ -63,7 +59,6 @@ __all__ = [
     "SegmentOutcome",
     "SerialBackend",
     "TRACK_EXEC",
-    "VectorBackend",
     "cycle_fingerprint",
     "resolve_backend",
     "run_fingerprint",

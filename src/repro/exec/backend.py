@@ -2,40 +2,42 @@
 
 :class:`ParallelAutomataProcessor.run` models the paper's cycle domain
 faithfully, but *how the host drives the simulation* is a separate
-concern: the seed implementation ran every segment serially inside one
-Python process, so wall-clock numbers understated what simultaneous
-segment execution buys.  This module extracts that choice behind
-:class:`ExecutionBackend`:
+concern.  This module puts that choice behind :class:`ExecutionBackend`,
+whose :meth:`~ExecutionBackend.execute` is the one segment loop of the
+paper's runtime (Section 3.4): resolve a segment's flow-invalidation
+inputs from its composed predecessor, run it (or replay it from a
+checkpoint), compose it on the host, and advance the availability
+chain.  A backend supplies only *one attempt* at one segment:
 
 ``SerialBackend``
-    The extracted original behaviour — one in-process
-    :class:`SegmentScheduler`, segments executed in index order.
+    One in-process :class:`SegmentScheduler`, segments in index order.
+    ``strategy`` picks how flows step: the active-set walk, or the
+    bit-parallel executor of :mod:`repro.automata.vector` (the
+    ``"vector"`` backend name).
 
 ``ProcessPoolBackend``
-    Host-parallel execution: each ``run_segment`` call is dispatched to
-    a worker process via :class:`concurrent.futures.ProcessPoolExecutor`
-    (spawn-safe — see :mod:`repro.exec.worker`).  Dispatch is
-    dependency-aware:
+    Each attempt is dispatched to a worker process via
+    :class:`concurrent.futures.ProcessPoolExecutor` (spawn-safe — see
+    :mod:`repro.exec.worker`).  Dispatch is dependency-aware:
 
-    * with ``use_fiv=False`` every enumerated segment is independent of
-      its predecessors' *execution* (truth only matters at composition
-      time), so all segments run concurrently;
     * with ``use_fiv=True`` a segment's flow-invalidation inputs
       (``unit_truth``, ``fiv_time``) come from its predecessor's
-      completed, composed result, so the pool pipelines the Section 3.4
-      availability chain — each segment is dispatched the moment its
-      inputs resolve.
+      completed, composed result, so dispatch pipelines along the
+      availability chain — each segment enters the pool the moment its
+      inputs resolve;
+    * with ``use_fiv=False`` no segment's *execution* depends on
+      another's (truth only matters at composition time), so every
+      first attempt is prefetched up front and the loop only collects.
 
-Distributed execution made segments *fallible*, so both backends wrap
-each segment in the :mod:`repro.exec.resilience` recovery driver: a
-failed attempt (worker crash, dispatch timeout, transient error —
-injected or real) is re-executed under the run's
-:class:`~repro.exec.resilience.RetryPolicy`, and after
-``downgrade_after`` consecutive process-backend failures the process
-backend *degrades gracefully* to in-process execution for the
-remaining segments instead of failing the run.  Re-dispatch is ordered:
-a retried segment re-enters the Section 3.4 availability chain with
-the same composed-predecessor inputs, so recovery is bit-exact.
+Segments are fallible, so every attempt runs under
+:func:`~repro.exec.resilience.run_with_retry`: a failed attempt (worker
+crash, dispatch timeout, transient error — injected or real) is
+re-executed under the run's :class:`~repro.exec.resilience.RetryPolicy`
+with the same composed-predecessor inputs, so recovery is bit-exact.
+The process backend also climbs a *failure ladder* on consecutive
+worker crashes and dispatch timeouts — keep the pool width, halve it,
+then run in-process until :meth:`ProcessPoolBackend.close` — instead
+of failing the run.
 
 **Bit-exactness contract**: for any automaton, input, and configuration,
 every backend — including any recovered or degraded run — produces
@@ -63,7 +65,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from time import perf_counter_ns
+from functools import partial
 from typing import Callable
 
 from repro.automata.analysis import AutomatonAnalysis
@@ -84,11 +86,7 @@ from repro.errors import (
     SegmentTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.durability import (
-    CheckpointRun,
-    CircuitBreaker,
-    HedgePolicy,
-)
+from repro.exec.durability import CheckpointRun, HedgePolicy
 from repro.exec.faults import (
     HANG,
     HOST_KINDS,
@@ -112,6 +110,9 @@ from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, Observer
 #: the CLI's ``--backend`` flag).
 BACKEND_NAMES = ("serial", "process", "vector")
 
+#: One try at one segment: ``attempt(plan, unit_truth, fiv_time)``.
+Attempt = Callable[[SegmentPlan, dict[int, bool], int | None], SegmentResult]
+
 
 @dataclass(frozen=True)
 class ExecutionContext:
@@ -128,8 +129,9 @@ class ExecutionContext:
     health: RunHealth = field(default_factory=RunHealth)
     checkpoint: CheckpointRun | None = None
     """Durable segment-result store for this run (``None`` = no
-    checkpointing).  Backends consult it before executing a segment and
-    write through after each success (see :mod:`repro.exec.durability`)."""
+    checkpointing).  The segment loop consults it before executing a
+    segment and writes through after each success (see
+    :mod:`repro.exec.durability`)."""
     max_inflight: int | None = None
     """Admission-guard bound on concurrently in-flight segment
     dispatches (``None`` = unbounded).  Consumed by the process
@@ -168,13 +170,59 @@ def _draw_fault(
     return kind
 
 
+def _in_process_attempt(
+    ctx: ExecutionContext,
+    data: bytes,
+    strategy: str = "set",
+    *,
+    infrastructure: bool = True,
+) -> Attempt:
+    """The serial attempt: one in-process scheduler for the whole run.
+
+    In-process, injected faults are modeled as their matching errors (a
+    single process can only *model* worker crashes and hangs) and a
+    straggler as a delay.  ``infrastructure=False`` is a degraded pool's
+    fallback: worker faults (crash, hang) no longer apply — there are
+    no workers — but segment-level faults still fire, and the retry
+    loop still recovers them.
+    """
+    scheduler = SegmentScheduler(
+        ctx.compiled,
+        ctx.analysis,
+        ctx.config,
+        ctx.path_independent,
+        observer=ctx.observer,
+        strategy=strategy,
+    )
+
+    def attempt(
+        plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
+    ) -> SegmentResult:
+        index = plan.segment.index
+        fault = _draw_fault(ctx, index, infrastructure=infrastructure)
+        if fault == STRAGGLER:
+            # Delay, then execute normally: there is nothing to hedge
+            # against without a pool.
+            assert ctx.injector is not None
+            time.sleep(ctx.injector.plan.straggler_s)
+        elif fault is not None:
+            raise_fault(fault, index)
+        ctx.observer.metrics.counter("exec.dispatches").inc()
+        return scheduler.run_segment(
+            data, plan, unit_truth=truth, fiv_time=fiv_time
+        )
+
+    return attempt
+
+
 class ExecutionBackend:
     """Strategy interface: run all segments of one planned input.
 
-    Subclasses implement :meth:`execute`; the shared helpers below keep
-    the host-side dependency chain (unit truth, FIV timing, composition)
-    identical across backends, which is what makes the bit-exactness
-    contract cheap to uphold.
+    :meth:`execute` is the one segment loop; subclasses supply
+    :meth:`_attempts`, one try at one segment.  Keeping the host-side
+    dependency chain (unit truth, FIV timing, checkpoints, composition)
+    in one loop is what makes the bit-exactness contract cheap to
+    uphold.
     """
 
     name = "abstract"
@@ -185,8 +233,57 @@ class ExecutionBackend:
         data: bytes,
         plans: tuple[SegmentPlan, ...],
     ) -> list[SegmentOutcome]:
-        """Run every segment and compose each result, in index order."""
+        """Run every segment and compose each result, in index order.
+
+        Per segment: its FIV inputs from the composed predecessor; its
+        proven result from the checkpoint, or else its attempts under
+        :func:`run_with_retry` and a write-through; then host
+        composition, whose decode time extends the availability chain
+        that times the next segment's FIV.
+        """
+        if not plans:
+            return []
+        attempt = self._attempts(ctx, data, plans)
+        outcomes: list[SegmentOutcome] = []
+        previous_matched: frozenset[int] = frozenset()
+        fiv_chain = 0
+        for plan in plans:
+            truth, fiv_time = self._segment_inputs(
+                ctx, plan, previous_matched, fiv_chain
+            )
+            result = self._checkpoint_load(ctx, plan)
+            if result is None:
+                result = run_with_retry(
+                    ctx.retry,
+                    ctx.health,
+                    ctx.observer,
+                    plan.segment.index,
+                    partial(attempt, plan, truth, fiv_time),
+                    on_failure=partial(self._attempt_failed, ctx, plan),
+                )
+                self._checkpoint_store(ctx, plan, result)
+            outcome = self._compose(ctx, result, truth)
+            fiv_chain = (
+                max(fiv_chain, result.metrics.finish_cycles)
+                + outcome.decode_cycles
+            )
+            previous_matched = outcome.composed.final_matched
+            outcomes.append(outcome)
+        return outcomes
+
+    def _attempts(
+        self,
+        ctx: ExecutionContext,
+        data: bytes,
+        plans: tuple[SegmentPlan, ...],
+    ) -> Attempt:
+        """This run's attempt function, built once per run."""
         raise NotImplementedError
+
+    def _attempt_failed(
+        self, ctx: ExecutionContext, plan: SegmentPlan, error: BaseException
+    ) -> None:
+        """Called on every retryable attempt failure, before the retry."""
 
     def close(self) -> None:
         """Release backend resources (worker pools).  Idempotent."""
@@ -225,20 +322,11 @@ class ExecutionBackend:
     ) -> SegmentOutcome:
         """Host composition of one finished segment (always in-process)."""
         obs = ctx.observer
-        span = obs.begin_span(
-            f"compose[{result.plan.segment.index}]", track=TRACK_HOST
+        index = result.plan.segment.index
+        span = obs.begin_span(f"compose[{index}]", track=TRACK_HOST)
+        composed = obs.phases.timed(
+            PHASE_COMPOSE, index, compose_segment, result, truth, ctx.analysis
         )
-        phases = obs.phases
-        if phases.enabled:
-            wall0 = perf_counter_ns()
-            composed = compose_segment(result, truth, ctx.analysis)
-            phases.add(
-                PHASE_COMPOSE,
-                result.plan.segment.index,
-                perf_counter_ns() - wall0,
-            )
-        else:
-            composed = compose_segment(result, truth, ctx.analysis)
         obs.end_span(
             span,
             args={
@@ -299,286 +387,37 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """The original in-process behaviour, extracted verbatim from
-    ``ParallelAutomataProcessor.run``: one scheduler, segments executed
-    in index order, composition interleaved segment to segment.
+    """In-process execution: one scheduler, segments in index order,
+    composition interleaved segment to segment.
 
-    Recovery: retryable failures (which in-process means injected
-    faults modeled as their matching errors — a single process can only
-    *model* worker crashes and hangs) re-execute the segment under the
-    run's :class:`~repro.exec.resilience.RetryPolicy`.  Re-execution is
+    ``strategy`` selects how flows step (one of
+    :data:`repro.core.scheduler.STRATEGY_NAMES`, checked by the
+    scheduler): ``"set"`` walks active sets; ``"vector"`` advances
+    packed-bitset state vectors through precompiled per-symbol-class
+    tables, and names the backend ``"vector"``.  Cycle-domain results
+    are bit-exact across strategies; the vector win is largest on
+    transition-bound automata with wide active sets and can invert on
+    large sparse-active ones (see :mod:`repro.automata.vector`).
+
+    Recovery: retryable failures — in-process, injected faults modeled
+    as their matching errors — re-execute the segment under the run's
+    :class:`~repro.exec.resilience.RetryPolicy`.  Re-execution is
     deterministic, so a recovered run is bit-exact.
     """
 
-    name = "serial"
-    #: Flow-stepping strategy handed to the scheduler (see
-    #: :data:`repro.core.scheduler.STRATEGY_NAMES`).
-    strategy = "set"
+    def __init__(self, strategy: str = "set") -> None:
+        self.strategy = strategy
+        self.name = "serial" if strategy == "set" else strategy
 
-    def execute(
+    def _attempts(
         self,
         ctx: ExecutionContext,
         data: bytes,
         plans: tuple[SegmentPlan, ...],
-    ) -> list[SegmentOutcome]:
-        obs = ctx.observer
-        if obs.enabled and plans:
-            obs.metrics.gauge("exec.workers").set(1)
-        scheduler = SegmentScheduler(
-            ctx.compiled,
-            ctx.analysis,
-            ctx.config,
-            ctx.path_independent,
-            observer=obs,
-            strategy=self.strategy,
-        )
-        outcomes: list[SegmentOutcome] = []
-        previous_matched: frozenset[int] = frozenset()
-        fiv_chain = 0
-        for plan in plans:
-            truth, fiv_time = self._segment_inputs(
-                ctx, plan, previous_matched, fiv_chain
-            )
-            index = plan.segment.index
-
-            def attempt(
-                plan: SegmentPlan = plan,
-                truth: dict[int, bool] = truth,
-                fiv_time: int | None = fiv_time,
-                index: int = index,
-            ) -> SegmentResult:
-                fault = _draw_fault(ctx, index)
-                if fault == STRAGGLER:
-                    # In-process model of a slow segment: delay, then
-                    # execute normally (there is nothing to hedge
-                    # against without a pool).
-                    assert ctx.injector is not None
-                    time.sleep(ctx.injector.plan.straggler_s)
-                elif fault is not None:
-                    raise_fault(fault, index)
-                obs.metrics.counter("exec.dispatches").inc()
-                if plan.is_golden:
-                    return scheduler.run_segment(data, plan)
-                return scheduler.run_segment(
-                    data, plan, unit_truth=truth, fiv_time=fiv_time
-                )
-
-            result = self._checkpoint_load(ctx, plan)
-            if result is None:
-                result = run_with_retry(
-                    ctx.retry, ctx.health, obs, index, attempt
-                )
-                self._checkpoint_store(ctx, plan, result)
-            outcome = self._compose(ctx, result, truth)
-            fiv_chain = (
-                max(fiv_chain, result.metrics.finish_cycles)
-                + outcome.decode_cycles
-            )
-            previous_matched = outcome.composed.final_matched
-            outcomes.append(outcome)
-        return outcomes
-
-
-class VectorBackend(SerialBackend):
-    """In-process execution on the bit-parallel vector strategy.
-
-    Identical host topology to :class:`SerialBackend` — one scheduler,
-    segments in index order — but every flow steps through
-    :class:`repro.automata.vector.VectorFlowExecution`: packed-bitset
-    state vectors advanced by precompiled per-symbol-class transition
-    tables instead of per-state set walks.  Cycle-domain results are
-    bit-exact with the serial backend (the ``tests/exec`` property
-    corpus pins fingerprints and BENCH cycle metrics); only host
-    wall-clock changes.  The win is largest on transition-bound
-    automata with wide active sets (Levenshtein, Hamming) and can
-    invert on large sparse-active automata — see the crossover notes in
-    :mod:`repro.automata.vector`.
-    """
-
-    name = "vector"
-    strategy = "vector"
-
-
-class _RecoveryState:
-    """Per-run degradation tracking for :class:`ProcessPoolBackend`.
-
-    Counts *consecutive* failed dispatch attempts across the run; when
-    they reach the policy's ``downgrade_after``, the run degrades to
-    in-process execution for every remaining attempt and segment — the
-    worker pool is torn down and a lazily built local scheduler takes
-    over, so the run finishes instead of failing.
-
-    Two escalation paths run alongside (see
-    :mod:`repro.exec.durability`): consecutive *infrastructure*
-    failures step the rebuilt pool down (n → n/2 → … → 1) before the
-    downgrade fires, and they feed the backend's circuit breaker —
-    which, once open, downgrades immediately with a breaker reason
-    code instead of letting the pool be rebuilt again.
-
-    Also owns the run's completed-dispatch wall samples, the input to
-    the straggler-hedging threshold.
-    """
-
-    def __init__(
-        self, backend: "ProcessPoolBackend", ctx: ExecutionContext, data: bytes
-    ) -> None:
-        self.backend = backend
-        self.ctx = ctx
-        self.data = data
-        self.consecutive = 0
-        self.downgraded = False
-        self.samples: list[float] = []
-        self._scheduler: SegmentScheduler | None = None
-
-    def scheduler(self) -> SegmentScheduler:
-        if self._scheduler is None:
-            ctx = self.ctx
-            self._scheduler = SegmentScheduler(
-                ctx.compiled,
-                ctx.analysis,
-                ctx.config,
-                ctx.path_independent,
-                observer=ctx.observer,
-            )
-        return self._scheduler
-
-    def run_inline(
-        self,
-        plan: SegmentPlan,
-        truth: dict[int, bool] | None,
-        fiv_time: int | None,
-    ) -> SegmentResult:
-        """One post-downgrade in-process attempt (serial semantics).
-
-        Worker-level faults (crash, hang) no longer apply — there are
-        no workers — but segment-level faults still fire, and the
-        enclosing retry loop still recovers them.
-        """
-        ctx = self.ctx
-        index = plan.segment.index
-        fault = _draw_fault(ctx, index, infrastructure=False)
-        if fault == STRAGGLER:
-            assert ctx.injector is not None
-            time.sleep(ctx.injector.plan.straggler_s)
-        elif fault is not None:
-            raise_fault(fault, index)
-        ctx.observer.metrics.counter("exec.dispatches").inc()
-        if plan.is_golden:
-            return self.scheduler().run_segment(self.data, plan)
-        return self.scheduler().run_segment(
-            self.data, plan, unit_truth=truth, fiv_time=fiv_time
-        )
-
-    def note_failure(self, plan: SegmentPlan, error: BaseException) -> None:
-        self.consecutive += 1
-        ctx = self.ctx
-        infrastructure = isinstance(
-            error, (WorkerCrashError, SegmentTimeoutError)
-        )
-        if infrastructure and not self.downgraded:
-            self._step_down_workers(plan, error)
-            breaker = self.backend.breaker
-            if breaker is not None:
-                opened = breaker.record_failure(error)
-                self.backend._note_breaker(ctx, opened_at=plan, opened=opened)
-                if opened and not self.downgraded:
-                    # Fast-fail the rest of the run instead of another
-                    # pool rebuild; later runs fast-fail up front until
-                    # the cooldown half-opens the breaker.
-                    self._downgrade(
-                        plan, error, reason=f"breaker open: {breaker.reason}"
-                    )
-                    return
-        limit = ctx.retry.downgrade_after
-        if self.downgraded or limit is None or self.consecutive < limit:
-            return
-        self._downgrade(
-            plan,
-            error,
-            reason=(
-                f"{self.consecutive} consecutive process-backend failures "
-                f"(last: {type(error).__name__})"
-            ),
-        )
-
-    def _step_down_workers(
-        self, plan: SegmentPlan, error: BaseException
-    ) -> None:
-        """Halve the rebuilt pool under repeated infrastructure failure.
-
-        The first failure may be a one-off (one lost worker), so the
-        rebuild keeps its size; from the second *consecutive* one on,
-        re-dispatching at the same width is just re-arming the same
-        failure — each further failure halves the next rebuild
-        (n → n/2 → … → 1), and ``downgrade_after`` / the breaker take
-        over from there.  Every step is recorded in RunHealth.
-        """
-        backend = self.backend
-        if self.consecutive < 2 or backend._dispatch_workers <= 1:
-            return
-        stepped = max(1, backend._dispatch_workers // 2)
-        backend._dispatch_workers = stepped
-        ctx = self.ctx
-        ctx.health.worker_steps.append(
-            {
-                "segment": plan.segment.index,
-                "workers": stepped,
-                "consecutive": self.consecutive,
-                "error": type(error).__name__,
-            }
-        )
-        obs = ctx.observer
-        obs.metrics.counter("exec.worker_stepdowns").inc()
-        if obs.enabled:
-            obs.metrics.gauge("exec.workers").set(stepped)
-            obs.instant(
-                "worker-stepdown",
-                track=TRACK_EXEC,
-                args={
-                    "segment": plan.segment.index,
-                    "workers": stepped,
-                    "consecutive_failures": self.consecutive,
-                    "error": type(error).__name__,
-                },
-            )
-
-    def _downgrade(
-        self, plan: SegmentPlan, error: BaseException, *, reason: str
-    ) -> None:
-        self.downgraded = True
-        ctx = self.ctx
-        health = ctx.health
-        health.downgraded = True
-        health.downgraded_at_segment = plan.segment.index
-        health.downgrade_reason = reason
-        obs = ctx.observer
-        obs.metrics.counter("exec.downgrades").inc()
-        if obs.enabled:
-            obs.instant(
-                "backend-downgrade",
-                track=TRACK_EXEC,
-                args={
-                    "segment": plan.segment.index,
-                    "consecutive_failures": self.consecutive,
-                    "error": type(error).__name__,
-                    "reason": reason,
-                },
-            )
-            obs.metrics.gauge("exec.workers").set(1)
-        # Workers are no longer needed; reclaim them without waiting on
-        # whatever broke them.
-        self.backend._teardown(wait=False)
-
-    def note_success(self) -> None:
-        self.consecutive = 0
-        breaker = self.backend.breaker
-        if breaker is not None:
-            was = breaker.state
-            breaker.record_success()
-            if was != breaker.state:
-                self.backend._note_breaker(
-                    self.ctx, opened_at=None, opened=False
-                )
+    ) -> Attempt:
+        if ctx.observer.enabled:
+            ctx.observer.metrics.gauge("exec.workers").set(1)
+        return _in_process_attempt(ctx, data, self.strategy)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -593,6 +432,12 @@ class ProcessPoolBackend(ExecutionBackend):
         only method safe on every platform, and the one the payload
         serialization is designed for.  ``"fork"`` works on POSIX and
         skips child interpreter start-up.
+    hedge:
+        Straggler hedging (see :mod:`repro.exec.durability`): a dispatch
+        outstanding past a MAD-based multiple of this run's completed
+        dispatch walls is speculatively re-dispatched and the first
+        result wins.  Both copies compute the identical pure function,
+        so hedging cannot move the cycle domain.
 
     The pool is created lazily on first use and *reused across runs* (a
     warmup pass through :func:`repro.perf.measure.measure_wall` therefore
@@ -601,24 +446,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Recovery: a broken pool (worker crash) or a tripped per-segment
     dispatch timeout tears the executor down *without waiting* (a hung
-    worker cannot be joined) and the next dispatch — a retry of the
-    failed segment or a later run on the same backend instance —
-    lazily rebuilds a fresh pool, *stepped down* (n → n/2 → … → 1)
-    under repeated consecutive infrastructure failures.  After
-    ``downgrade_after`` consecutive failures the run degrades to
-    in-process execution for the remaining segments (see
-    :class:`_RecoveryState`).
-
-    Durability (see :mod:`repro.exec.durability`): ``hedge`` enables
-    straggler hedging — a dispatch outstanding past a MAD-based
-    multiple of this run's completed dispatch walls is speculatively
-    re-dispatched and the first result wins.  ``breaker`` attaches a
-    circuit breaker over infrastructure failures — open, it fast-fails
-    runs to in-process execution (with a RunHealth reason code)
-    instead of rebuilding the pool per failure, until its cooldown
-    admits a probe.  Both are bit-exactness-preserving: a hedge
-    duplicate computes the identical pure function, and downgraded
-    execution is the serial backend's.
+    worker cannot be joined), and the next dispatch lazily rebuilds a
+    fresh pool.  Consecutive infrastructure failures climb the failure
+    ladder (see :meth:`_attempt_failed`), whose state lives on the
+    instance and persists across runs until :meth:`close`: a pool that
+    degraded to in-process execution stays degraded, so later runs do
+    not rebuild a pool that is known to be broken.
     """
 
     name = "process"
@@ -629,19 +462,25 @@ class ProcessPoolBackend(ExecutionBackend):
         *,
         mp_context: str = "spawn",
         hedge: HedgePolicy | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError("process backend needs >= 1 worker")
         self.workers = workers if workers is not None else os.cpu_count() or 1
         self.hedge = hedge
-        self.breaker = breaker
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         self._run_counter = 0
-        self._dispatch_workers = self.workers
+        self._reset_ladder()
 
     # -- pool lifecycle ---------------------------------------------------
+
+    def _reset_ladder(self) -> None:
+        # The failure ladder: the width of the next (re)built pool, the
+        # count of consecutive worker crashes and dispatch timeouts, and
+        # why execution moved in-process (None while on the pool).
+        self._dispatch_workers = self.workers
+        self._consecutive = 0
+        self._degraded: str | None = None
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -663,40 +502,175 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = None
 
     def close(self) -> None:
+        """Shut the pool down and reset the failure ladder: the next run
+        starts on a fresh pool at the configured width."""
         self._teardown(wait=True)
+        self._reset_ladder()
 
-    # -- breaker bookkeeping ----------------------------------------------
+    # -- the failure ladder -----------------------------------------------
 
-    def _note_breaker(
-        self,
-        ctx: ExecutionContext,
-        *,
-        opened_at: SegmentPlan | None,
-        opened: bool,
+    def _attempt_failed(
+        self, ctx: ExecutionContext, plan: SegmentPlan, error: BaseException
     ) -> None:
-        """Mirror the breaker's state into health, metrics, and ledger."""
-        breaker = self.breaker
-        assert breaker is not None
-        health = ctx.health
-        health.breaker_state = breaker.state
-        health.breaker_reason = breaker.reason
+        """Climb the failure ladder on a worker crash or dispatch timeout.
+
+        The first consecutive infrastructure failure may be a one-off
+        (one lost worker), so the rebuilt pool keeps its width; from the
+        second on, re-dispatching at the same width is just re-arming
+        the same failure, so each further one halves it (n → n/2 → … →
+        1); the ``downgrade_after``-th moves execution in-process.  A
+        successful pool attempt resets the count.  Transient errors
+        retry in place and never count: they say nothing about the pool.
+        Every rung is recorded in RunHealth.
+        """
+        if self._degraded is not None or not isinstance(
+            error, (WorkerCrashError, SegmentTimeoutError)
+        ):
+            return
+        self._consecutive += 1
+        index = plan.segment.index
+        kind = type(error).__name__
         obs = ctx.observer
-        obs.metrics.gauge("breaker.state").set(breaker.state_code)
-        if opened:
-            obs.metrics.counter("breaker.opens").inc()
-        if obs.enabled:
-            args: dict[str, object] = {"state": breaker.state}
-            if opened_at is not None:
-                args["segment"] = opened_at.segment.index
-            if breaker.reason is not None:
-                args["reason"] = breaker.reason
-            obs.instant(
-                "breaker-open" if opened else "breaker-state",
-                track=TRACK_EXEC,
-                args=args,
+        if self._consecutive >= 2 and self._dispatch_workers > 1:
+            self._dispatch_workers //= 2
+            ctx.health.worker_steps.append(
+                {
+                    "segment": index,
+                    "workers": self._dispatch_workers,
+                    "consecutive": self._consecutive,
+                    "error": kind,
+                }
             )
+            obs.metrics.counter("exec.worker_stepdowns").inc()
+            if obs.enabled:
+                obs.metrics.gauge("exec.workers").set(self._dispatch_workers)
+                obs.instant(
+                    "worker-stepdown",
+                    track=TRACK_EXEC,
+                    args={
+                        "segment": index,
+                        "workers": self._dispatch_workers,
+                        "consecutive_failures": self._consecutive,
+                        "error": kind,
+                    },
+                )
+        limit = ctx.retry.downgrade_after
+        if limit is None or self._consecutive < limit:
+            return
+        self._degraded = (
+            f"{self._consecutive} consecutive infrastructure failures "
+            f"(last: {kind})"
+        )
+        self._record_downgrade(ctx, plan, self._degraded)
+        # Workers are no longer needed; reclaim them without waiting on
+        # whatever broke them.
+        self._teardown(wait=False)
+
+    @staticmethod
+    def _record_downgrade(
+        ctx: ExecutionContext, plan: SegmentPlan, reason: str
+    ) -> None:
+        health = ctx.health
+        health.downgraded = True
+        health.downgraded_at_segment = plan.segment.index
+        health.downgrade_reason = reason
+        obs = ctx.observer
+        obs.metrics.counter("exec.downgrades").inc()
+        if obs.enabled:
+            obs.instant(
+                "backend-downgrade",
+                track=TRACK_EXEC,
+                args={"segment": plan.segment.index, "reason": reason},
+            )
+            obs.metrics.gauge("exec.workers").set(1)
 
     # -- dispatch ---------------------------------------------------------
+
+    def _attempts(
+        self,
+        ctx: ExecutionContext,
+        data: bytes,
+        plans: tuple[SegmentPlan, ...],
+    ) -> Attempt:
+        obs = ctx.observer
+        if self._degraded is not None:
+            # The ladder's last rung outlives the run that reached it:
+            # no pool build, no per-segment failure churn.
+            self._record_downgrade(
+                ctx,
+                plans[0],
+                f"degraded in an earlier run ({self._degraded}); "
+                "in-process until close()",
+            )
+        elif obs.enabled:
+            obs.metrics.gauge("exec.workers").set(self._dispatch_workers)
+        self._run_counter += 1
+        payload = RunPayload(
+            automaton=ctx.automaton,
+            config=ctx.config,
+            path_independent=ctx.path_independent,
+            data=data,
+        )
+        submit = partial(
+            self._submit, ctx, (id(self), self._run_counter), payload
+        )
+        inline = _in_process_attempt(ctx, data, infrastructure=False)
+        samples: list[float] = []  # completed dispatch walls, for hedging
+        # Without the FIV every segment's first attempt is prefetched
+        # (checkpointed segments never are); an admission bound turns
+        # the prefetch into a window of at most that many outstanding
+        # dispatches, refilled as each segment completes.
+        window = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
+        prefetched: dict[int, tuple[Future, int] | BaseException] = {}
+        unsent = {
+            plan.segment.index: plan
+            for plan in plans
+            if not ctx.config.use_fiv
+            and (ctx.checkpoint is None or not ctx.checkpoint.has(plan))
+        }
+
+        def pump() -> None:
+            while (
+                unsent
+                and self._degraded is None
+                and (window is None or len(prefetched) < window)
+            ):
+                index = next(iter(unsent))
+                try:
+                    prefetched[index] = submit(unsent.pop(index), None, None)
+                except RETRYABLE_ERRORS as error:
+                    # Surfaces as this segment's attempt-1 failure when
+                    # its turn to collect comes.
+                    prefetched[index] = error
+
+        def attempt(
+            plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
+        ) -> SegmentResult:
+            index = plan.segment.index
+            # A segment whose window never came up is dispatched here.
+            unsent.pop(index, None)
+            entry = prefetched.pop(index, None)
+            if isinstance(entry, BaseException):
+                raise entry
+            if entry is None:
+                if self._degraded is not None:
+                    return inline(plan, truth, fiv_time)
+                entry = submit(plan, truth, fiv_time)
+            future, span = entry
+            result = self._collect(
+                ctx,
+                future,
+                span,
+                plan,
+                partial(submit, plan, truth, fiv_time),
+                samples,
+            )
+            self._consecutive = 0
+            pump()
+            return result
+
+        pump()
+        return attempt
 
     def _submit(
         self,
@@ -706,9 +680,10 @@ class ProcessPoolBackend(ExecutionBackend):
         plan: SegmentPlan,
         truth: dict[int, bool] | None,
         fiv_time: int | None,
-        fault: str | None = None,
     ) -> tuple[Future, int]:
+        """Draw this attempt's fault and dispatch it to the pool."""
         index = plan.segment.index
+        fault = _draw_fault(ctx, index)
         if fault is not None and fault in HOST_KINDS:
             # Host-side faults (FIV-write failure) happen before any
             # dispatch: the FIV never reaches the segment.
@@ -766,31 +741,28 @@ class ProcessPoolBackend(ExecutionBackend):
         future: Future,
         span: int,
         plan: SegmentPlan,
-        *,
-        redispatch: Callable[[], tuple[Future, int]] | None = None,
-        state: "_RecoveryState | None" = None,
+        redispatch: Callable[[], tuple[Future, int]],
+        samples: list[float],
     ) -> SegmentResult:
         """Wait out one dispatch, hedging it if it straggles.
 
-        With a :class:`HedgePolicy` attached and a ``redispatch``
-        closure available, a dispatch still outstanding past the
-        MAD-based threshold over this run's completed dispatch walls is
-        speculatively re-submitted; whichever copy finishes first wins
-        and the loser is cancelled.  Both copies compute the same pure
-        function of the same inputs, so first-winner selection cannot
-        change the cycle domain.  The per-segment dispatch timeout, when
-        set, still bounds the *total* wait including the hedge.
+        With a :class:`HedgePolicy` attached, a dispatch still
+        outstanding past the MAD-based threshold over this run's
+        completed dispatch walls (``samples``) is speculatively
+        re-submitted through ``redispatch`` — a fresh attempt to the
+        fault injector, so seeded first-attempt faults do not re-fire
+        on the copy; whichever copy finishes first wins and the loser is
+        cancelled.  Both copies compute the same pure function of the
+        same inputs, so first-winner selection cannot change the cycle
+        domain.  The per-segment dispatch timeout, when set, still
+        bounds the *total* wait including the hedge.
         """
         obs = ctx.observer
         index = plan.segment.index
         timeout = ctx.retry.segment_timeout_s
-        policy = self.hedge if redispatch is not None else None
+        policy = self.hedge
         start = time.monotonic()
-        threshold = (
-            policy.threshold_s(state.samples)
-            if policy is not None and state is not None
-            else None
-        )
+        threshold = policy.threshold_s(samples) if policy is not None else None
         outstanding: dict[Future, int] = {future: span}
         hedged = False
         task_result = None
@@ -868,7 +840,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         continue
                     raise
                 except Exception as error:  # noqa: BLE001 — worker errors vary
-                    self.close()
+                    self._teardown(wait=True)
                     raise ExecutionError(
                         f"segment {index} failed in worker process: {error!r}"
                     ) from error
@@ -897,8 +869,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     track=TRACK_EXEC,
                     args={"segment": index, "waited_ms": waited_ms},
                 )
-        if state is not None:
-            state.samples.append(time.monotonic() - start)
+        samples.append(time.monotonic() - start)
         obs.end_span(
             winner_span,
             args={
@@ -915,242 +886,23 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return task_result.result
 
-    def execute(
-        self,
-        ctx: ExecutionContext,
-        data: bytes,
-        plans: tuple[SegmentPlan, ...],
-    ) -> list[SegmentOutcome]:
-        if not plans:
-            return []
-        obs = ctx.observer
-        if self._dispatch_workers != self.workers and self._executor is None:
-            # A prior run's step-down is not this run's problem: fresh
-            # runs start at the configured width (an existing healthy
-            # pool, stepped or not, is still reused).
-            self._dispatch_workers = self.workers
-        if obs.enabled:
-            obs.metrics.gauge("exec.workers").set(self._dispatch_workers)
-        self._run_counter += 1
-        token = (id(self), self._run_counter)
-        payload = RunPayload(
-            automaton=ctx.automaton,
-            config=ctx.config,
-            path_independent=ctx.path_independent,
-            data=data,
-        )
-        state = _RecoveryState(self, ctx, data)
-        if self.breaker is not None and not self.breaker.allow():
-            # Open breaker: fast-fail straight to in-process execution —
-            # no pool build, no per-segment failure churn.  RunHealth
-            # carries the reason code.
-            state.downgraded = True
-            health = ctx.health
-            health.downgraded = True
-            health.downgraded_at_segment = plans[0].segment.index
-            health.downgrade_reason = (
-                f"breaker open: {self.breaker.reason}"
-            )
-            obs.metrics.counter("breaker.fastfails").inc()
-            self._note_breaker(ctx, opened_at=plans[0], opened=False)
-        outcomes: list[SegmentOutcome] = []
-        previous_matched: frozenset[int] = frozenset()
-        if ctx.config.use_fiv:
-            # Section 3.4 availability chain: segment j+1's FIV inputs
-            # need segment j's composed result, so dispatch pipelines
-            # along the chain — each segment enters the pool the moment
-            # its inputs resolve.  A retried segment re-enters the chain
-            # with the same composed-predecessor inputs (ordered
-            # re-dispatch), so recovery is bit-exact.
-            fiv_chain = 0
-            for plan in plans:
-                truth, fiv_time = self._segment_inputs(
-                    ctx, plan, previous_matched, fiv_chain
-                )
-                index = plan.segment.index
-
-                def attempt(
-                    plan: SegmentPlan = plan,
-                    truth: dict[int, bool] = truth,
-                    fiv_time: int | None = fiv_time,
-                    index: int = index,
-                ) -> SegmentResult:
-                    if state.downgraded:
-                        return state.run_inline(plan, truth, fiv_time)
-                    fault = _draw_fault(ctx, index)
-                    future, span = self._submit(
-                        ctx, token, payload, plan, truth, fiv_time, fault
-                    )
-
-                    def redispatch() -> tuple[Future, int]:
-                        # A hedge is a fresh attempt to the injector:
-                        # seeded first-attempt faults do not re-fire on
-                        # the speculative copy.
-                        hedge_fault = _draw_fault(ctx, index)
-                        return self._submit(
-                            ctx,
-                            token,
-                            payload,
-                            plan,
-                            truth,
-                            fiv_time,
-                            hedge_fault,
-                        )
-
-                    return self._collect(
-                        ctx,
-                        future,
-                        span,
-                        plan,
-                        redispatch=redispatch,
-                        state=state,
-                    )
-
-                result = self._checkpoint_load(ctx, plan)
-                if result is None:
-                    result = run_with_retry(
-                        ctx.retry,
-                        ctx.health,
-                        obs,
-                        index,
-                        attempt,
-                        on_failure=lambda error, plan=plan: state.note_failure(
-                            plan, error
-                        ),
-                    )
-                    state.note_success()
-                    self._checkpoint_store(ctx, plan, result)
-                outcome = self._compose(ctx, result, truth)
-                fiv_chain = (
-                    max(fiv_chain, result.metrics.finish_cycles)
-                    + outcome.decode_cycles
-                )
-                previous_matched = outcome.composed.final_matched
-                outcomes.append(outcome)
-            return outcomes
-        # Without the FIV no segment's *execution* depends on another —
-        # enumeration truth only matters at composition time — so every
-        # segment's first attempt is dispatched up front and composition
-        # chains afterwards.  Failures re-enter the retry loop one
-        # segment at a time and re-dispatch on a rebuilt pool.  Already
-        # checkpointed segments are never dispatched, and an admission
-        # bound (``ctx.max_inflight``) turns the all-at-once prefetch
-        # into waves: at most that many dispatches are outstanding.
-        limit = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
-        prefetched: dict[int, tuple[Future, int] | BaseException] = {}
-        to_submit = [
-            plan
-            for plan in plans
-            if ctx.checkpoint is None or not ctx.checkpoint.has(plan)
-        ]
-
-        def pump() -> None:
-            """Top the outstanding-dispatch window back up."""
-            while (
-                to_submit
-                and not state.downgraded
-                and (limit is None or len(prefetched) < limit)
-            ):
-                plan = to_submit.pop(0)
-                index = plan.segment.index
-                try:
-                    fault = _draw_fault(ctx, index)
-                    prefetched[index] = self._submit(
-                        ctx, token, payload, plan, None, None, fault
-                    )
-                except RETRYABLE_ERRORS as error:
-                    # Surfaces as this segment's attempt-1 failure when
-                    # its turn to collect comes.
-                    prefetched[index] = error
-
-        pump()
-        results: list[SegmentResult] = []
-        for plan in plans:
-            index = plan.segment.index
-            cached = self._checkpoint_load(ctx, plan)
-            if cached is not None:
-                results.append(cached)
-                continue
-
-            def attempt(
-                plan: SegmentPlan = plan, index: int = index
-            ) -> SegmentResult:
-                entry = prefetched.pop(index, None)
-                if plan in to_submit:
-                    # Its wave never came up (bounded window): this
-                    # attempt dispatches it directly instead.
-                    to_submit.remove(plan)
-                if isinstance(entry, BaseException):
-                    raise entry
-                if entry is None:
-                    if state.downgraded:
-                        return state.run_inline(plan, None, None)
-                    fault = _draw_fault(ctx, index)
-                    entry = self._submit(
-                        ctx, token, payload, plan, None, None, fault
-                    )
-                future, span = entry
-
-                def redispatch() -> tuple[Future, int]:
-                    hedge_fault = _draw_fault(ctx, index)
-                    return self._submit(
-                        ctx, token, payload, plan, None, None, hedge_fault
-                    )
-
-                return self._collect(
-                    ctx,
-                    future,
-                    span,
-                    plan,
-                    redispatch=redispatch,
-                    state=state,
-                )
-
-            result = run_with_retry(
-                ctx.retry,
-                ctx.health,
-                obs,
-                index,
-                attempt,
-                on_failure=lambda error, plan=plan: state.note_failure(
-                    plan, error
-                ),
-            )
-            state.note_success()
-            self._checkpoint_store(ctx, plan, result)
-            results.append(result)
-            pump()
-        for plan, result in zip(plans, results):
-            truth = (
-                {}
-                if plan.is_golden
-                else unit_truth_map(plan.flows, previous_matched)
-            )
-            outcome = self._compose(ctx, result, truth)
-            previous_matched = outcome.composed.final_matched
-            outcomes.append(outcome)
-        return outcomes
-
 
 def resolve_backend(
     backend: "ExecutionBackend | str | None",
     *,
     workers: int | None = None,
     hedge: HedgePolicy | None = None,
-    breaker: CircuitBreaker | None = None,
 ) -> ExecutionBackend:
     """Turn a backend spec (instance, name, or ``None``) into an instance.
 
-    ``None`` and ``"serial"`` yield a fresh :class:`SerialBackend`;
-    ``"process"`` yields a :class:`ProcessPoolBackend` with ``workers``
-    (plus the optional ``hedge`` policy and circuit ``breaker``);
-    ``"vector"`` yields a :class:`VectorBackend` (in-process, so
-    ``workers`` is ignored exactly as for ``"serial"``).  An existing
-    instance passes through untouched (``workers``, ``hedge``, and
-    ``breaker`` must then be ``None`` — the instance already owns its
-    pool and policies).  ``hedge``/``breaker`` on an in-process backend
-    name is a configuration error: there are no dispatches to hedge and
-    no pool to protect.
+    ``None`` and ``"serial"`` yield a fresh :class:`SerialBackend`,
+    ``"vector"`` one on the vector strategy; ``"process"`` yields a
+    :class:`ProcessPoolBackend` with ``workers`` (plus the optional
+    ``hedge`` policy).  An existing instance passes through untouched
+    (``workers`` and ``hedge`` must then be ``None`` — the instance
+    already owns its pool and policy).  ``workers``/``hedge`` on an
+    in-process backend name is a configuration error: there is no pool
+    to size and no dispatch to hedge.
     """
     if isinstance(backend, ExecutionBackend):
         if workers is not None:
@@ -1158,24 +910,23 @@ def resolve_backend(
                 "workers cannot be overridden on an existing backend "
                 "instance; construct the backend with the desired count"
             )
-        if hedge is not None or breaker is not None:
+        if hedge is not None:
             raise ConfigurationError(
-                "hedge/breaker cannot be overridden on an existing "
-                "backend instance; construct the backend with them"
+                "hedge cannot be overridden on an existing backend "
+                "instance; construct the backend with it"
             )
         return backend
     if backend == "process":
-        return ProcessPoolBackend(workers=workers, hedge=hedge, breaker=breaker)
-    if hedge is not None or breaker is not None:
+        return ProcessPoolBackend(workers=workers, hedge=hedge)
+    if backend not in (None, "serial", "vector"):
         raise ConfigurationError(
-            "straggler hedging and circuit breakers need the process "
-            "backend (in-process execution has no dispatches to hedge)"
+            f"unknown execution backend {backend!r} "
+            f"(expected one of {', '.join(BACKEND_NAMES)})"
         )
-    if backend is None or backend == "serial":
-        return SerialBackend()
-    if backend == "vector":
-        return VectorBackend()
-    raise ConfigurationError(
-        f"unknown execution backend {backend!r} "
-        f"(expected one of {', '.join(BACKEND_NAMES)})"
-    )
+    if workers is not None or hedge is not None:
+        raise ConfigurationError(
+            "workers and straggler hedging need the process backend "
+            "(in-process execution has no pool to size and no "
+            "dispatches to hedge)"
+        )
+    return SerialBackend("vector" if backend == "vector" else "set")

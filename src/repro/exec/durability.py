@@ -1,10 +1,10 @@
-"""Durability layer: checkpoint/resume, hedging, breakers, admission.
+"""Durability layer: checkpoint/resume, straggler hedging, admission.
 
 A host-parallel run is only as durable as its weakest process: a worker
-can die (PR 5 recovers that), but a *parent* crash used to discard every
-completed segment, a straggler could only be waited out or killed by the
-per-segment deadline, and a persistently broken pool was rebuilt over
-and over at full size.  This module supplies the missing machinery, all
+can die (the retry loop and the process backend's failure ladder
+recover that), but a *parent* crash would discard every completed
+segment, and a straggler could only be waited out or killed by the
+per-segment deadline.  This module supplies the missing machinery, all
 of it resting on the repo's bit-exactness contract — a segment's
 cycle-domain result is a pure function of (automaton fingerprint,
 configuration, input bytes, segment plan, FIV inputs), which is exactly
@@ -14,8 +14,8 @@ segment-level checkpointing and speculative re-execution sound:
 :class:`CheckpointStore` / :class:`CheckpointRun`
     A content-addressed segment-result store: one append-only JSONL
     file per *run fingerprint* (automaton × config × input digest ×
-    segment count), each record fsync'd and checksummed.  Backends
-    write through as segments complete; ``pap.run(resume=True)`` skips
+    segment count), each record fsync'd and checksummed.  The segment
+    loop writes through as segments complete; ``pap.run(resume=True)`` skips
     every segment whose proven result is already on disk — including
     after a ``kill -9`` of the parent, because records are durable the
     moment :meth:`CheckpointRun.record` returns.  Torn or corrupted
@@ -28,14 +28,6 @@ segment-level checkpointing and speculative re-execution sound:
     ``median + mad_multiplier * MAD`` of the completed walls is
     speculatively re-dispatched and the first result wins.  Bit-exact
     by construction — both dispatches compute the same pure function.
-
-:class:`CircuitBreaker`
-    A closed → open → half-open breaker over *infrastructure* failures
-    (worker crashes, dispatch timeouts).  While open, process runs
-    fast-fail to in-process execution with a RunHealth reason code
-    instead of rebuilding the pool per failure; after ``cooldown_s`` a
-    single probe run is allowed through (half-open) and a success
-    closes the breaker again.
 
 :class:`AdmissionPolicy`
     A pre-execution resource guard: predicts the run's peak host memory
@@ -52,9 +44,8 @@ import json
 import os
 import signal
 import statistics
-import time
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.ap.events import OutputEvent
 from repro.automata.anml import Automaton
@@ -73,14 +64,6 @@ CHECKPOINT_SCHEMA = 1
 #: kill-parent-and-resume stage and the SIGKILL-resume tests use it;
 #: never set it in production.
 KILL_ENV = "REPRO_CHECKPOINT_TEST_KILL_AFTER"
-
-#: Circuit breaker states, plus their numeric codes for the
-#: ``breaker.state`` gauge (0 = closed, 1 = half-open, 2 = open).
-BREAKER_CLOSED = "closed"
-BREAKER_HALF_OPEN = "half_open"
-BREAKER_OPEN = "open"
-BREAKER_STATE_CODES = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
-
 
 def _canonical(payload: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace — digest-stable."""
@@ -494,96 +477,6 @@ class HedgePolicy:
         mad = statistics.median(abs(s - median) for s in samples)
         spread = max(mad, 0.05 * median)
         return max(self.min_threshold_s, median + self.mad_multiplier * spread)
-
-
-# -- circuit breaker --------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Closed → open → half-open breaker over infrastructure failures.
-
-    Counts *consecutive* worker crashes and dispatch timeouts across
-    runs (the breaker belongs to the backend instance, like its pool).
-    At ``fail_threshold`` the breaker opens: subsequent runs fast-fail
-    to in-process execution instead of rebuilding the pool per failure.
-    After ``cooldown_s`` the next :meth:`allow` call half-opens the
-    breaker — one probe run goes through on the pool; its first
-    infrastructure failure re-opens, a success closes.
-    """
-
-    def __init__(
-        self,
-        fail_threshold: int = 5,
-        cooldown_s: float = 30.0,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if fail_threshold < 1:
-            raise ConfigurationError("breaker fail_threshold must be >= 1")
-        if cooldown_s < 0:
-            raise ConfigurationError("breaker cooldown_s must be >= 0")
-        self.fail_threshold = fail_threshold
-        self.cooldown_s = cooldown_s
-        self.state = BREAKER_CLOSED
-        self.reason: str | None = None
-        self.opens = 0
-        self._clock = clock
-        self._consecutive = 0
-        self._opened_at: float | None = None
-
-    @property
-    def state_code(self) -> int:
-        return BREAKER_STATE_CODES[self.state]
-
-    def allow(self) -> bool:
-        """Whether the pool may be used right now.
-
-        An open breaker past its cooldown transitions to half-open and
-        admits one probe; otherwise open means fast-fail.
-        """
-        if self.state != BREAKER_OPEN:
-            return True
-        assert self._opened_at is not None
-        if self._clock() - self._opened_at >= self.cooldown_s:
-            self.state = BREAKER_HALF_OPEN
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._consecutive = 0
-        if self.state == BREAKER_HALF_OPEN:
-            self.state = BREAKER_CLOSED
-            self.reason = None
-
-    def record_failure(self, error: BaseException) -> bool:
-        """Count one infrastructure failure; True when this opens it."""
-        self._consecutive += 1
-        tripping = (
-            self.state == BREAKER_HALF_OPEN
-            or self._consecutive >= self.fail_threshold
-        )
-        if not tripping:
-            return False
-        was_open = self.state == BREAKER_OPEN
-        self.state = BREAKER_OPEN
-        self._opened_at = self._clock()
-        self.reason = (
-            f"{self._consecutive} consecutive infrastructure failure(s) "
-            f"(last: {type(error).__name__})"
-        )
-        if not was_open:
-            self.opens += 1
-            return True
-        return False
-
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "reason": self.reason,
-            "opens": self.opens,
-            "fail_threshold": self.fail_threshold,
-            "cooldown_s": self.cooldown_s,
-        }
 
 
 # -- admission guard --------------------------------------------------------

@@ -49,8 +49,8 @@ Fault kinds
     *next resume* drops the broken record and re-executes.
 
 ``crash`` and ``hang`` are *infrastructure* faults: they model worker
-processes dying, so they stop firing once a run has degraded to
-in-process execution (there are no workers left to kill).  The other
+processes dying, so they stop firing once execution has degraded to
+in-process (there are no workers left to kill).  The other
 execution-time kinds fire wherever the segment executes.
 """
 

@@ -54,9 +54,11 @@ class RetryPolicy:
         does not return in time counts as a timeout failure (the worker
         pool is recycled, since a hung worker cannot be reclaimed).
     downgrade_after:
-        Consecutive process-backend failures after which the run
-        gracefully degrades to in-process (serial) execution for the
-        remaining segments.  ``None`` disables degradation.
+        The process backend's failure-ladder threshold: this many
+        consecutive worker crashes or dispatch timeouts move execution
+        in-process, for the rest of the run and for later runs on the
+        same backend until it is closed.  ``None`` disables
+        degradation.
     """
 
     max_retries: int = 0
@@ -123,10 +125,6 @@ class RunHealth:
     worker_steps: list[dict] = field(default_factory=list)
     """Pool step-downs under consecutive infrastructure failures:
     ``{"segment", "workers", "consecutive", "error"}``."""
-    breaker_state: str | None = None
-    """Backend circuit-breaker state after this run touched it
-    (``None`` when the backend has no breaker or it never fired)."""
-    breaker_reason: str | None = None
     checkpoint_path: str | None = None
     """Checkpoint file backing this run (``None`` without one).  The
     flight recorder's crash bundle carries the whole health dict, so a
@@ -169,8 +167,6 @@ class RunHealth:
             "hedges": self.hedges,
             "hedge_wins": list(self.hedge_wins),
             "worker_steps": list(self.worker_steps),
-            "breaker_state": self.breaker_state,
-            "breaker_reason": self.breaker_reason,
             "checkpoint_path": self.checkpoint_path,
             "checkpoint_hits": self.checkpoint_hits,
             "checkpoint_writes": self.checkpoint_writes,
@@ -208,9 +204,9 @@ def run_with_retry(
     attempt count.
 
     ``on_failure`` fires on every retryable failure *before* the
-    exhaustion check — the process backend uses it to count consecutive
-    failures toward graceful degradation, so it must run even for the
-    failure that exhausts the budget.
+    exhaustion check — the process backend's failure ladder counts
+    consecutive infrastructure failures with it, so it must run even
+    for the failure that exhausts the budget.
     """
     start = clock()
     attempt = 0

@@ -15,9 +15,10 @@ set of phases in both time domains:
   and checked by :func:`verify_phase_totals`.
 * **wall** — host ``perf_counter_ns`` accounting captured by a
   :class:`PhaseAccumulator` hanging off the active observer
-  (``observer.phases``).  The scheduler's hot loop guards every
-  measurement with ``phases.enabled``, so the disabled path costs one
-  attribute check and stays inside the pinned <5% observer budget.
+  (``observer.phases``).  Every measured region runs through
+  :meth:`PhaseRecorder.timed`, once per slice or flow (never per
+  symbol); the disabled recorder's ``timed`` is a plain call that never
+  reads the clock, so it stays inside the pinned <5% observer budget.
 
 The phases:
 
@@ -45,7 +46,10 @@ profile (:func:`to_speedscope`, checked by
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from time import perf_counter_ns
+from typing import Any, Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 PHASE_TRANSITION = "transition"
 PHASE_SWITCH = "switch"
@@ -82,16 +86,19 @@ class PhaseAccountingError(Exception):
 
 
 class PhaseRecorder:
-    """Null wall-phase recorder: :meth:`add` is a no-op.
-
-    Hot paths guard the ``perf_counter_ns`` pair with
-    ``if phases.enabled:`` so the disabled path never reads the clock.
-    """
+    """Null wall-phase recorder: :meth:`add` is a no-op and
+    :meth:`timed` a plain call that never reads the clock."""
 
     enabled: bool = False
 
     def add(self, phase: str, segment: int, wall_ns: int) -> None:
         """Charge ``wall_ns`` host nanoseconds to ``(segment, phase)``."""
+
+    def timed(
+        self, phase: str, segment: int, fn: Callable[..., T], *args, **kwargs
+    ) -> T:
+        """``fn(*args, **kwargs)``, its wall charged to ``(segment, phase)``."""
+        return fn(*args, **kwargs)
 
     def items(self) -> tuple[tuple[int, str, int], ...]:
         """Recorded ``(segment, phase, wall_ns)`` rows, sorted."""
@@ -121,6 +128,14 @@ class PhaseAccumulator(PhaseRecorder):
     def add(self, phase: str, segment: int, wall_ns: int) -> None:
         key = (segment, phase)
         self._acc[key] = self._acc.get(key, 0) + wall_ns
+
+    def timed(
+        self, phase: str, segment: int, fn: Callable[..., T], *args, **kwargs
+    ) -> T:
+        start = perf_counter_ns()
+        result = fn(*args, **kwargs)
+        self.add(phase, segment, perf_counter_ns() - start)
+        return result
 
     def items(self) -> tuple[tuple[int, str, int], ...]:
         return tuple(

@@ -18,7 +18,7 @@ from typing import Callable
 from repro.core.config import DEFAULT_CONFIG
 from repro.errors import ConfigurationError
 from repro.exec.backend import ExecutionBackend, resolve_backend
-from repro.exec.durability import CircuitBreaker, HedgePolicy
+from repro.exec.durability import HedgePolicy
 from repro.exec.faults import FaultPlan
 from repro.exec.resilience import RetryPolicy
 from repro.perf.artifact import BenchmarkRecord, PerfReport
@@ -86,7 +86,6 @@ def run_bench_suite(
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     hedge: HedgePolicy | None = None,
-    breaker: CircuitBreaker | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
@@ -116,13 +115,11 @@ def run_bench_suite(
     store; ``resume=True`` replays segments already proven there under
     the same run fingerprint.  Resumed cycles are bit-exact, so a
     resumed artifact also compares clean with ``--fail-on cycles`` —
-    the kill-and-resume CI stage depends on it.  ``hedge``/``breaker``
-    attach straggler hedging and the circuit breaker to a process
-    backend named by ``backend`` (instances already own theirs).
+    the kill-and-resume CI stage depends on it.  ``hedge`` attaches
+    straggler hedging to a process backend named by ``backend``
+    (instances already own theirs).
     """
-    resolved = resolve_backend(
-        backend, workers=workers, hedge=hedge, breaker=breaker
-    )
+    resolved = resolve_backend(backend, workers=workers, hedge=hedge)
     owns_backend = not isinstance(backend, ExecutionBackend)
     config = (
         DEFAULT_CONFIG if use_fiv else replace(DEFAULT_CONFIG, use_fiv=False)
@@ -149,7 +146,6 @@ def run_bench_suite(
             "checkpoint": checkpoint,
             "resume": resume,
             "hedge": hedge is not None,
-            "breaker": breaker is not None,
         },
     )
     try:

@@ -1,4 +1,5 @@
-"""Durability tests: checkpoint/resume, hedging, breakers, admission.
+"""Durability tests: checkpoint/resume, hedging, the failure ladder,
+admission.
 
 The load-bearing property is ISSUE 10's acceptance criterion: a
 resumed run — including one resumed from a checkpoint written by a
@@ -31,7 +32,6 @@ from repro.errors import (
 from repro.exec import (
     AdmissionPolicy,
     CheckpointStore,
-    CircuitBreaker,
     FaultPlan,
     FaultSpec,
     HedgePolicy,
@@ -393,8 +393,6 @@ class TestHedgePolicy:
     def test_hedge_needs_process_backend(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("serial", hedge=HedgePolicy())
-        with pytest.raises(ConfigurationError):
-            resolve_backend("vector", breaker=CircuitBreaker())
 
 
 class TestHedgingRecovery:
@@ -462,93 +460,52 @@ class TestHedgingRecovery:
         assert result.health["injected_faults"][0]["kind"] == "straggler"
 
 
-class TestCircuitBreaker:
-    def test_state_machine(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            fail_threshold=2, cooldown_s=10.0, clock=lambda: clock[0]
-        )
-        error = RuntimeError("boom")
-        assert breaker.state == "closed"
-        assert not breaker.record_failure(error)
-        assert breaker.record_failure(error)  # newly opened
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock[0] = 11.0
-        assert breaker.allow()  # cooldown elapsed: probe admitted
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            fail_threshold=1, cooldown_s=5.0, clock=lambda: clock[0]
-        )
-        breaker.record_failure(RuntimeError("x"))
-        clock[0] = 6.0
-        assert breaker.allow()
-        breaker.record_failure(RuntimeError("y"))
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_between_failures_resets_count(self):
-        breaker = CircuitBreaker(fail_threshold=2, cooldown_s=5.0)
-        breaker.record_failure(RuntimeError("a"))
-        breaker.record_success()
-        assert not breaker.record_failure(RuntimeError("b"))
-        assert breaker.state == "closed"
-
-    def test_open_breaker_fast_fails_to_serial(self, workload, cold):
-        """Crashes open the breaker mid-run (downgrade, with reason);
-        the *next* run on the same backend fast-fails before touching
-        the pool at all."""
-        pap, data = workload
-        backend = ProcessPoolBackend(
-            workers=2, breaker=CircuitBreaker(fail_threshold=2)
-        )
-        try:
-            faults = FaultPlan(
-                specs=(FaultSpec(segment=1, kind="crash", times=5),)
-            )
-            broken = pap.run(
-                data,
-                backend=backend,
-                faults=faults,
-                retry=RetryPolicy(
-                    max_retries=4, backoff_base_s=0.0, downgrade_after=None
-                ),
-            )
-            assert cycle_fingerprint(broken) == cold
-            health = broken.health
-            assert health["breaker_state"] == "open"
-            assert health["downgraded"]
-            assert health["downgrade_reason"].startswith("breaker open")
-
-            fastfail = pap.run(data, backend=backend)
-            assert cycle_fingerprint(fastfail) == cold
-            assert fastfail.health["downgraded"]
-            assert fastfail.health["downgrade_reason"].startswith(
-                "breaker open"
-            )
-            assert fastfail.health["crashes"] == 0, (
-                "fast-fail must not have touched the pool"
-            )
-        finally:
-            backend.close()
-
-
 class TestWorkerStepDown:
-    def test_consecutive_crashes_step_workers_down(self, workload, cold):
+    @pytest.mark.parametrize(
+        "specs, steps",
+        [
+            pytest.param(
+                (FaultSpec(segment=3, kind="crash", times=2),),
+                [
+                    {
+                        "segment": 3,
+                        "workers": 1,
+                        "consecutive": 2,
+                        "error": "WorkerCrashError",
+                    }
+                ],
+                id="crashes",
+            ),
+            pytest.param(
+                (
+                    FaultSpec(segment=3, kind="transient"),
+                    FaultSpec(segment=3, kind="crash", times=2),
+                ),
+                [],
+                id="transient-then-crash",
+            ),
+            pytest.param(
+                (
+                    FaultSpec(segment=3, kind="crash"),
+                    FaultSpec(segment=4, kind="crash"),
+                ),
+                [],
+                id="recovered-crashes",
+            ),
+        ],
+    )
+    def test_consecutive_crashes_step_workers_down(
+        self, workload, cold, specs, steps
+    ):
         """The PR-5 rebuild-at-full-width fix: the second consecutive
         infrastructure failure halves the pool (2 -> 1 here), recorded
-        in RunHealth."""
+        in RunHealth.  A transient error before one crash is not an
+        infrastructure failure, and a successful retry resets the count,
+        so in those cases the pool keeps its width."""
         pap, data = workload
         backend = ProcessPoolBackend(workers=2)
         try:
-            faults = FaultPlan(
-                specs=(FaultSpec(segment=3, kind="crash", times=2),)
-            )
+            faults = FaultPlan(specs=specs)
             result = pap.run(
                 data,
                 backend=backend,
@@ -558,15 +515,7 @@ class TestWorkerStepDown:
                 ),
             )
             assert cycle_fingerprint(result) == cold
-            steps = result.health["worker_steps"]
-            assert steps == [
-                {
-                    "segment": 3,
-                    "workers": 1,
-                    "consecutive": 2,
-                    "error": "WorkerCrashError",
-                }
-            ]
+            assert result.health["worker_steps"] == steps
         finally:
             backend.close()
 
@@ -588,6 +537,49 @@ class TestWorkerStepDown:
             assert backend._dispatch_workers == 1
             backend.close()  # stepped pool gone; next run starts fresh
             pap.run(data, backend=backend)
+            assert backend._dispatch_workers == 2
+        finally:
+            backend.close()
+
+    def test_degraded_pool_stays_in_process_until_close(self, workload, cold):
+        """Persistent crashes take the ladder to its last rung mid-run;
+        the *next* run on the same backend starts in-process without
+        touching the pool, naming the earlier degradation; close()
+        resets the ladder and the pool is back at full width."""
+        pap, data = workload
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            broken = pap.run(
+                data,
+                backend=backend,
+                faults=FaultPlan(
+                    specs=(FaultSpec(segment=1, kind="crash", times=5),)
+                ),
+                retry=RetryPolicy(
+                    max_retries=4, backoff_base_s=0.0, downgrade_after=2
+                ),
+            )
+            assert cycle_fingerprint(broken) == cold
+            health = broken.health
+            assert health["downgraded"]
+            assert health["downgraded_at_segment"] == 1
+            assert health["crashes"] == 2
+
+            again = pap.run(data, backend=backend)
+            assert cycle_fingerprint(again) == cold
+            assert again.health["downgraded"]
+            assert again.health["downgraded_at_segment"] == 0
+            assert health["downgrade_reason"] in (
+                again.health["downgrade_reason"]
+            )
+            assert again.health["crashes"] == 0, (
+                "a degraded backend must not have touched the pool"
+            )
+
+            backend.close()
+            fresh = pap.run(data, backend=backend)
+            assert cycle_fingerprint(fresh) == cold
+            assert not fresh.health["downgraded"]
             assert backend._dispatch_workers == 2
         finally:
             backend.close()

@@ -26,7 +26,6 @@ from repro.exec import (
     FaultPlan,
     RetryPolicy,
     SerialBackend,
-    VectorBackend,
     resolve_backend,
 )
 from repro.sim.runner import run_benchmark
@@ -64,7 +63,7 @@ def test_vector_backend_is_bit_exact(seed, data, config):
     automaton = random_ruleset_automaton(seed, num_patterns=4)
     pap = ParallelAutomataProcessor(automaton, config=config)
     serial = pap.run(data, backend=SerialBackend())
-    vector = pap.run(data, backend=VectorBackend())
+    vector = pap.run(data, backend=SerialBackend(strategy="vector"))
     assert fingerprint(vector) == fingerprint(serial)
 
 
@@ -118,9 +117,16 @@ def test_bench_cycle_payload_identical_on_suite_workload():
 class TestResolutionAndValidation:
     def test_resolve_vector_backend(self):
         backend = resolve_backend("vector")
-        assert isinstance(backend, VectorBackend)
+        assert isinstance(backend, SerialBackend)
         assert backend.name == "vector"
         assert backend.strategy == "vector"
+
+    def test_in_process_names_reject_workers(self):
+        """A worker count has no pool to size in-process: rejected, not
+        silently ignored (as hedging already was)."""
+        for name in (None, "serial", "vector"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                resolve_backend(name, workers=4)
 
     def test_run_accepts_vector_name(self):
         automaton = random_ruleset_automaton(11, num_patterns=3)

@@ -99,6 +99,37 @@ class TestBenchRun:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_admission_flags_are_run_only(self, tmp_path):
+        """The admission guard is a `repro run` option: `bench run`
+        rejects its flags as a usage error instead of dropping them and
+        writing an artifact."""
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "bench",
+                    "run",
+                    "--benchmarks",
+                    "Ranges1",
+                    "--scale",
+                    "0.05",
+                    "--trace-bytes",
+                    "2048",
+                    "--warmup",
+                    "0",
+                    "--repeats",
+                    "1",
+                    "--memory-budget",
+                    "1",
+                    "--admission-mode",
+                    "refuse",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
     def test_env_subset_selected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_ONLY", "Bro217")
         out = tmp_path / "BENCH_env.json"

@@ -47,6 +47,26 @@ class TestCommands:
         assert "speedup" in out
         assert "verified OK" in out
 
+    def test_run_rejects_workers_without_pool(self, capsys):
+        """--workers sizes a process pool; on an in-process backend it
+        is a usage error, not silently ignored."""
+        code = main(
+            [
+                "run",
+                "Bro217",
+                "--scale",
+                "0.05",
+                "--trace-bytes",
+                "2048",
+                "--backend",
+                "serial",
+                "--workers",
+                "4",
+            ]
+        )
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_match(self, capsys, tmp_path):
         sample = tmp_path / "sample.bin"
         sample.write_bytes(b"xx needle xx needle")
