@@ -27,6 +27,7 @@ from repro.exec import (
     HedgePolicy,
     ProcessPoolBackend,
     RetryPolicy,
+    RunOptions,
     cycle_fingerprint,
 )
 from repro.sim.runner import run_benchmark
@@ -55,10 +56,16 @@ def test_checkpoint_overhead(benchmark, suite_cache):
             cold, cold_s = _timed_run(instance, actual, modeled)
             with tempfile.TemporaryDirectory() as root:
                 written, write_s = _timed_run(
-                    instance, actual, modeled, checkpoint=root
+                    instance,
+                    actual,
+                    modeled,
+                    options=RunOptions(checkpoint=root),
                 )
                 resumed, resume_s = _timed_run(
-                    instance, actual, modeled, checkpoint=root, resume=True
+                    instance,
+                    actual,
+                    modeled,
+                    options=RunOptions(checkpoint=root, resume=True),
                 )
                 ckpt = resumed.pap.extra["checkpoint"]
             # The durability contract: write-through changes nothing,
@@ -122,12 +129,14 @@ def test_hedge_vs_deadline_recovery(benchmark, suite_cache):
                     actual,
                     None,
                     backend=backend,
-                    retry=RetryPolicy(
-                        max_retries=2,
-                        segment_timeout_s=timeout,
-                        backoff_base_s=0.0,
+                    options=RunOptions(
+                        retry=RetryPolicy(
+                            max_retries=2,
+                            segment_timeout_s=timeout,
+                            backoff_base_s=0.0,
+                        ),
+                        faults=faults,
                     ),
-                    faults=faults,
                 )
                 assert cycle_fingerprint(run.pap) == reference, policy
                 results[policy] = (wall, run.pap.extra["health"])

@@ -4,8 +4,9 @@
 
 * ``list`` — the 19 evaluation benchmarks and their Table 1 rows;
 * ``run`` — one benchmark end to end (baseline vs. PAP) with metrics,
-  optionally recording a Chrome trace (``--trace``), a text profile
-  (``--profile``), and machine-readable output (``--format json``);
+  optionally recording a Chrome trace (``--trace``), the verified
+  phase profile (``--profile``), and machine-readable output
+  (``--format json``);
 * ``trace`` — record a run's trace to Perfetto-loadable JSON, or
   validate/summarize an existing trace file;
 * ``profile`` — phase-attribution profile of one run: where the cycles
@@ -55,11 +56,13 @@ from repro.errors import (
 from repro.exec import (
     AdmissionPolicy,
     BACKEND_NAMES,
+    ExecutionBackend,
     FaultPlan,
     FaultSpec,
     HedgePolicy,
     ProcessPoolBackend,
     RetryPolicy,
+    RunOptions,
     cycle_fingerprint,
     resolve_backend,
 )
@@ -214,34 +217,42 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resilience_from_args(
-    args: argparse.Namespace,
-) -> tuple[RetryPolicy | None, FaultPlan | None, HedgePolicy | None]:
-    """Build the recovery policy, fault plan and hedge policy from CLI
-    flags; the checkpoint path and resume flag pass through as
-    ``args.checkpoint`` / ``args.resume``.
+def _options_from_args(args: argparse.Namespace) -> RunOptions:
+    """The run's :class:`RunOptions` from the recovery flags (and the
+    admission flags, which only ``run`` has).
 
     Raises :class:`ConfigurationError` on invalid values or
     combinations — the caller maps that to a usage error (exit 2), same
     as bad backend flags.
     """
-    if args.resume and not args.checkpoint:
-        raise ConfigurationError("--resume needs --checkpoint DIR")
-    retry = None
-    if args.retries or args.segment_timeout is not None:
-        retry = RetryPolicy(
-            max_retries=args.retries,
-            segment_timeout_s=args.segment_timeout,
-        )
-    faults = (
-        FaultPlan.parse(args.inject_faults) if args.inject_faults else None
+    budget = getattr(args, "memory_budget", None)
+    return RunOptions(
+        retry=RetryPolicy(
+            max_retries=args.retries, segment_timeout_s=args.segment_timeout
+        ),
+        faults=(
+            FaultPlan.parse(args.inject_faults) if args.inject_faults else None
+        ),
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        admission=(
+            AdmissionPolicy(memory_budget_bytes=budget, mode=args.admission_mode)
+            if budget is not None
+            else None
+        ),
     )
+
+
+def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
+    """The backend the ``--backend``/``--workers``/``--hedge-after``
+    flags name; raises :class:`ConfigurationError` like
+    :func:`_options_from_args`."""
     hedge = (
         HedgePolicy(mad_multiplier=args.hedge_after)
         if args.hedge_after is not None
         else None
     )
-    return retry, faults, hedge
+    return resolve_backend(args.backend, workers=args.workers, hedge=hedge)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -408,18 +419,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else DEFAULT_CONFIG
     )
     try:
-        retry, faults, hedge = _resilience_from_args(args)
-        admission = (
-            AdmissionPolicy(
-                memory_budget_bytes=args.memory_budget,
-                mode=args.admission_mode,
-            )
-            if args.memory_budget is not None
-            else None
-        )
-        backend = resolve_backend(
-            args.backend, workers=args.workers, hedge=hedge
-        )
+        options = _options_from_args(args)
+        backend = _backend_from_args(args)
     except ConfigurationError as error:
         print(f"repro run: {error}", file=sys.stderr)
         return 2
@@ -434,11 +435,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config=config,
             observer=tracer,
             backend=backend,
-            retry=retry,
-            faults=faults,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            admission=admission,
+            options=options,
         )
         if args.drift_baseline:
             # Checked before the ledger seals so the drift events and
@@ -498,10 +495,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(run {tracer.run_id}, {tracer.num_records} records)",
             file=out_stream,
         )
-    if tracer is not None and args.profile:
+    if args.profile:
         # With JSON output the profile goes to stderr so stdout stays
         # machine-readable.
-        print(tracer.text_profile(), file=out_stream)
+        verify_phase_totals(run.pap)
+        print(render_phase_profile(run.pap.phases), file=out_stream)
     return 0 if run.reports_match else 1
 
 
@@ -543,8 +541,10 @@ def _chaos_trial(pap, data, reference, kind, segment, args) -> dict:
                 specs=(FaultSpec(segment=segment, kind=kind),)
             )
             with tempfile.TemporaryDirectory(prefix="chaos-ckpt-") as tmp:
-                pap.run(data, checkpoint=tmp, faults=faults)
-                result = pap.run(data, checkpoint=tmp, resume=True)
+                pap.run(data, options=RunOptions(checkpoint=tmp, faults=faults))
+                result = pap.run(
+                    data, options=RunOptions(checkpoint=tmp, resume=True)
+                )
                 ckpt = result.extra["checkpoint"]
                 row["detail"] = (
                     f"{ckpt['dropped_records']} torn record(s) dropped, "
@@ -556,10 +556,13 @@ def _chaos_trial(pap, data, reference, kind, segment, args) -> dict:
                 hang_s=args.hang,
                 straggler_s=args.straggler,
             )
-            retry = RetryPolicy(
-                max_retries=args.retries,
-                segment_timeout_s=args.segment_timeout,
-                backoff_base_s=0.0,
+            options = RunOptions(
+                retry=RetryPolicy(
+                    max_retries=args.retries,
+                    segment_timeout_s=args.segment_timeout,
+                    backoff_base_s=0.0,
+                ),
+                faults=faults,
             )
             backend = ProcessPoolBackend(
                 workers=args.workers or 2, hedge=HedgePolicy()
@@ -570,9 +573,7 @@ def _chaos_trial(pap, data, reference, kind, segment, args) -> dict:
                 # cold start.
                 pap.run(data, backend=backend)
                 start = _time.perf_counter()
-                result = pap.run(
-                    data, backend=backend, retry=retry, faults=faults
-                )
+                result = pap.run(data, backend=backend, options=options)
                 # Measured before close(): close joins workers, and a
                 # hedged-past hang may still be sleeping in one — the
                 # recovery wall is the run, not the join.
@@ -686,7 +687,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"({args.domain} domain, open in ui.perfetto.dev)"
     )
     if args.profile:
-        print(tracer.text_profile())
+        verify_phase_totals(run.pap)
+        print(render_phase_profile(run.pap.phases))
     return 0 if run.reports_match else 1
 
 
@@ -784,7 +786,8 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 1
     try:
-        retry, faults, hedge = _resilience_from_args(args)
+        options = _options_from_args(args)
+        backend = _backend_from_args(args)
     except ConfigurationError as error:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 2
@@ -799,19 +802,16 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             modeled_bytes=PAPER_BYTES.get(args.model_input),
             warmup=args.warmup,
             repeats=args.repeats,
-            backend=args.backend,
-            workers=args.workers,
+            backend=backend,
             use_fiv=not args.no_fiv,
-            retry=retry,
-            faults=faults,
-            hedge=hedge,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
+            options=options,
             progress=lambda line: print(line, file=sys.stderr),
         )
     except ConfigurationError as error:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 2
+    finally:
+        backend.close()
     out = args.out or f"BENCH_{args.label}.json"
     path = report.write(out)
     print(render_report(report, args.format))
@@ -1249,7 +1249,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--profile",
         action="store_true",
-        help="print the aggregated text profile after the summary",
+        help=(
+            "print the verified phase profile (as `repro profile` does) "
+            "after the summary"
+        ),
     )
     run_parser.add_argument(
         "--ledger",
@@ -1412,7 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--profile",
         action="store_true",
-        help="also print the aggregated text profile",
+        help="also print the verified phase profile",
     )
     trace_parser.add_argument(
         "--ranks", type=int, default=1, choices=(1, 2, 4)

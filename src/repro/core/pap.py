@@ -38,19 +38,11 @@ from repro.core.ranges import (
     enumeration_range,
 )
 from repro.core.scheduler import SegmentPlan, SegmentResult
-from repro.errors import AdmissionError
-from repro.exec.backend import ExecutionBackend, ExecutionContext, resolve_backend
-from repro.exec.durability import (
-    AdmissionPolicy,
-    CheckpointRun,
-    CheckpointStore,
-    run_fingerprint,
-)
-from repro.exec.faults import FaultInjector, FaultPlan
-from repro.exec.resilience import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    RunHealth,
+from repro.exec.backend import (
+    ExecutionBackend,
+    ExecutionContext,
+    RunOptions,
+    resolve_backend,
 )
 from repro.host.reporting import report_processing_cycles
 from repro.obs.phases import summarize_run_phases
@@ -255,47 +247,26 @@ class ParallelAutomataProcessor:
         data: bytes,
         *,
         backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
-        retry: RetryPolicy | None = None,
-        faults: FaultPlan | None = None,
-        checkpoint: CheckpointStore | str | None = None,
-        resume: bool = False,
-        admission: AdmissionPolicy | None = None,
+        options: RunOptions = RunOptions(),
     ) -> PAPRunResult:
-        """Execute the full PAP pipeline over ``data``.
+        """Execute the full PAP pipeline over ``data``: plan, execute the
+        segments, fold the availability chain.
 
         ``backend`` selects *where* segments execute (see
         :mod:`repro.exec`): ``None``/``"serial"`` runs them in-process,
-        ``"process"`` dispatches them to a pool of ``workers`` host
-        processes.  Cycle-domain metrics and report sets are identical
-        across backends; only host wall-clock changes.  A backend
-        *instance* is reused as-is (its pool survives for the caller to
-        close); a name constructs a one-shot backend closed before
-        returning.
+        ``"process"`` dispatches them to a pool of host processes.
+        Cycle-domain metrics and report sets are identical across
+        backends; only host wall-clock changes.  A backend *instance*
+        is reused as-is (its pool survives for the caller to close); a
+        name constructs a one-shot backend closed before returning.
 
-        ``retry`` governs recovery from segment failures (worker
-        crashes, dispatch timeouts, transient errors); the default is
-        fail-fast, matching the previous behaviour.  ``faults`` injects
-        deterministic failures for resilience testing (see
-        :mod:`repro.exec.faults`).  Because segment execution is
-        deterministic in the cycle domain, any recovered run — retried,
-        timed out and re-dispatched, or degraded to serial execution —
-        returns bit-identical reports and cycle metrics; what actually
-        happened is recorded in ``result.extra["health"]``.
-
-        ``checkpoint`` (a :class:`~repro.exec.durability.CheckpointStore`
-        or a directory path) makes the run *durable*: every completed
-        segment result is written through to an append-only, fsync'd
-        file keyed by the run's content fingerprint.  With
-        ``resume=True`` the run first loads that file and skips every
-        segment already proven — including after a ``kill -9`` of a
-        previous parent — re-executing only what is missing or failed
-        its checksum; resumed runs are bit-exact against cold ones
-        (same pure functions, same inputs).  ``admission`` predicts the
-        run's peak host memory from the plan before executing anything,
-        and either refuses (:class:`~repro.errors.AdmissionError`) or
-        bounds how many segments may be in flight at once; the decision
-        lands in ``result.extra["health"]["admission"]``.
+        ``options`` (:class:`~repro.exec.RunOptions`) says how the run
+        recovers and persists — retries, injected faults, a checkpoint
+        to write through or resume from, an admission guard — and
+        :meth:`~repro.exec.ExecutionBackend.execute` owns that
+        lifecycle.  None of it moves the cycle domain; what happened is
+        recorded in ``result.extra["health"]`` (and
+        ``extra["checkpoint"]``).
 
         Timing follows Section 3.4: the host decode of segment ``j``'s
         final state vector (``T_cpu``) sits on a serial availability
@@ -310,75 +281,7 @@ class ParallelAutomataProcessor:
         the target segment still has live flows.
         """
         obs = self.observer
-        run_args: dict[str, Any] = {"input_bytes": len(data)}
-        if obs.run_id is not None:
-            run_args["run"] = obs.run_id
-        run_span = obs.begin_span(
-            "run", track=TRACK_RUN, cycle=0, args=run_args
-        )
-        plan = self.plan(data)
-        owns_backend = not isinstance(backend, ExecutionBackend)
-        resolved = resolve_backend(backend, workers=workers)
-        health = RunHealth(run_id=obs.run_id)
-        injector = FaultInjector(faults) if faults is not None else None
-        ckpt_run: CheckpointRun | None = None
-        if checkpoint is not None:
-            store = (
-                checkpoint
-                if isinstance(checkpoint, CheckpointStore)
-                else CheckpointStore(checkpoint)
-            )
-            fingerprint = run_fingerprint(
-                self.automaton,
-                self.config,
-                data,
-                num_segments=len(plan.segments),
-            )
-            ckpt_run = store.open_run(
-                fingerprint,
-                resume=resume,
-                meta={
-                    "automaton": self.automaton.name,
-                    "input_bytes": len(data),
-                    "segments": len(plan.segments),
-                },
-            )
-            # Into health up front: a crash bundle from any later point
-            # of this run must name where the resumable state lives.
-            health.checkpoint_path = str(ckpt_run.path)
-            if obs.enabled:
-                obs.instant(
-                    "checkpoint-open",
-                    track=TRACK_RUN,
-                    args={
-                        "path": str(ckpt_run.path),
-                        "resume": resume,
-                        "available": ckpt_run.available,
-                    },
-                )
-        max_inflight: int | None = None
-        if admission is not None:
-            decision = admission.check(
-                plan.segments, input_bytes=len(data)
-            )
-            health.admission = decision.to_dict()
-            if obs.enabled:
-                obs.instant(
-                    "admission",
-                    track=TRACK_RUN,
-                    args=decision.to_dict(),
-                )
-            if decision.action == "refuse":
-                error: Exception = AdmissionError(
-                    f"admission guard refused the run: {decision.reason}"
-                )
-                obs.run_failed(error, health=health)
-                if ckpt_run is not None:
-                    ckpt_run.close()
-                if owns_backend:
-                    resolved.close()
-                raise error
-            max_inflight = decision.wave_size
+        resolved = resolve_backend(backend)
         ctx = ExecutionContext(
             automaton=self.automaton,
             compiled=self.compiled,
@@ -386,37 +289,25 @@ class ParallelAutomataProcessor:
             config=self.config,
             path_independent=self.path_independent,
             observer=obs,
-            retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
-            injector=injector,
-            health=health,
-            checkpoint=ckpt_run,
-            max_inflight=max_inflight,
+            options=options,
+        )
+        run_args: dict[str, Any] = {"input_bytes": len(data)}
+        if obs.run_id is not None:
+            run_args["run"] = obs.run_id
+        run_span = obs.begin_span(
+            "run", track=TRACK_RUN, cycle=0, args=run_args
         )
         try:
-            outcomes = resolved.execute(ctx, data, plan.segments)
+            plan = self.plan(data)
+            execution = resolved.execute(ctx, data, plan.segments)
         except Exception as error:
-            # The flight recorder turns this hook into a crash bundle
-            # (ledger tail + health + metrics); the null observer
-            # ignores it.  Fault and checkpoint bookkeeping runs first
-            # so the bundle's health record names what was injected and
-            # where the resumable segments live.
-            if injector is not None:
-                health.injected = list(injector.injected)
-            if ckpt_run is not None:
-                health.checkpoint_hits = ckpt_run.hits
-                health.checkpoint_writes = ckpt_run.writes
-            obs.run_failed(error, health=health)
+            obs.end_span(run_span, args={"outcome": type(error).__name__})
             raise
         finally:
-            if owns_backend:
+            if resolved is not backend:
+                # A backend built from a name serves this run only.
                 resolved.close()
-            if injector is not None:
-                health.injected = list(injector.injected)
-            if ckpt_run is not None:
-                health.checkpoint_hits = ckpt_run.hits
-                health.checkpoint_writes = ckpt_run.writes
-                ckpt_run.close()
-
+        outcomes = execution.outcomes
         segment_results = [outcome.result for outcome in outcomes]
         composed_segments = [outcome.composed for outcome in outcomes]
         decode_costs = [outcome.decode_cycles for outcome in outcomes]
@@ -512,10 +403,8 @@ class ParallelAutomataProcessor:
                 > self.config.max_flows
             ),
             input_bytes=len(data),
-            extra={"svc": svc_totals, "health": health.to_dict()},
+            extra={"svc": svc_totals, **execution.extra},
         )
-        if ckpt_run is not None:
-            result.extra["checkpoint"] = dict(ckpt_run.to_dict(), resumed=resume)
         # Phase attribution (repro.obs.phases): cycle phases derive
         # from the result itself; wall phases arrive via the observer
         # (including worker-shipped rows merged by the process backend).

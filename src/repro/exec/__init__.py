@@ -1,11 +1,13 @@
 """Execution backends: serial and host-parallel segment execution.
 
 See :mod:`repro.exec.backend` for the backend contract (dispatch and
-dependency rules, bit-exactness), :mod:`repro.exec.worker` for the
-spawn-safe worker protocol, :mod:`repro.exec.faults` for deterministic
-fault injection, :mod:`repro.exec.resilience` for the retry/backoff
-policy and run-health accounting, and :mod:`repro.exec.durability` for
-the checkpoint/resume store, straggler hedging, and admission guard.
+dependency rules, bit-exactness) and :class:`RunOptions`, the one value
+that says how a run recovers and persists; :mod:`repro.exec.worker`
+for the spawn-safe worker protocol, :mod:`repro.exec.faults` for
+deterministic fault injection, :mod:`repro.exec.resilience` for the
+retry/backoff policy and run-health accounting, and
+:mod:`repro.exec.durability` for the checkpoint/resume store, straggler
+hedging, and admission guard.
 """
 
 from repro.exec.backend import (
@@ -13,6 +15,7 @@ from repro.exec.backend import (
     ExecutionBackend,
     ExecutionContext,
     ProcessPoolBackend,
+    RunOptions,
     SegmentOutcome,
     SerialBackend,
     TRACK_EXEC,
@@ -56,6 +59,7 @@ __all__ = [
     "ProcessPoolBackend",
     "RetryPolicy",
     "RunHealth",
+    "RunOptions",
     "SegmentOutcome",
     "SerialBackend",
     "TRACK_EXEC",

@@ -7,7 +7,11 @@ whose :meth:`~ExecutionBackend.execute` is the one segment loop of the
 paper's runtime (Section 3.4): resolve a segment's flow-invalidation
 inputs from its composed predecessor, run it (or replay it from a
 checkpoint), compose it on the host, and advance the availability
-chain.  A backend supplies only *one attempt* at one segment:
+chain.  Around that loop :meth:`~ExecutionBackend.execute` also owns
+the run lifecycle that :class:`RunOptions` drives: the admission guard,
+the checkpoint, the fault injector, run health, and the observer's
+``run_failed`` hook.  A backend supplies only *one attempt* at one
+segment:
 
 ``SerialBackend``
     One in-process :class:`SegmentScheduler`, segments in index order.
@@ -62,11 +66,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from contextlib import AbstractContextManager, contextmanager
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton
@@ -79,6 +83,7 @@ from repro.core.composition import (
 from repro.core.config import PAPConfig
 from repro.core.scheduler import SegmentPlan, SegmentResult, SegmentScheduler
 from repro.errors import (
+    AdmissionError,
     ConfigurationError,
     ExecutionError,
     RETRYABLE_ERRORS,
@@ -86,12 +91,20 @@ from repro.errors import (
     SegmentTimeoutError,
     WorkerCrashError,
 )
-from repro.exec.durability import CheckpointRun, HedgePolicy
+from repro.exec.durability import (
+    HEDGE_POLL_S,
+    AdmissionPolicy,
+    CheckpointRun,
+    CheckpointStore,
+    HedgePolicy,
+    run_fingerprint,
+)
 from repro.exec.faults import (
     HANG,
     HOST_KINDS,
     STRAGGLER,
     FaultInjector,
+    FaultPlan,
     raise_fault,
 )
 from repro.exec.resilience import (
@@ -104,7 +117,7 @@ from repro.exec.resilience import (
 from repro.exec.worker import RunPayload, run_segment_task
 from repro.host.decode import false_path_decode_cycles
 from repro.obs.phases import PHASE_COMPOSE
-from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, Observer
+from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
 
 #: The spellable backend names accepted by :func:`resolve_backend` (and
 #: the CLI's ``--backend`` flag).
@@ -112,6 +125,29 @@ BACKEND_NAMES = ("serial", "process", "vector")
 
 #: One try at one segment: ``attempt(plan, unit_truth, fiv_time)``.
 Attempt = Callable[[SegmentPlan, dict[int, bool], int | None], SegmentResult]
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How one run recovers and persists; none of it moves the cycle
+    domain, since a segment's result is a pure function of its inputs.
+
+    ``retry`` bounds recovery (default fail-fast); ``faults`` injects a
+    deterministic :class:`~repro.exec.faults.FaultPlan`; ``checkpoint``
+    (a store or directory) writes every finished segment through, and
+    ``resume`` replays the segments it already holds; ``admission``
+    checks the plan against a memory budget before anything runs.
+    """
+
+    retry: RetryPolicy = DEFAULT_RETRY_POLICY
+    faults: FaultPlan | None = None
+    checkpoint: CheckpointStore | str | None = None
+    resume: bool = False
+    admission: AdmissionPolicy | None = None
+
+    def __post_init__(self) -> None:
+        if self.resume and self.checkpoint is None:
+            raise ConfigurationError("resume needs a checkpoint directory")
 
 
 @dataclass(frozen=True)
@@ -124,14 +160,11 @@ class ExecutionContext:
     config: PAPConfig
     path_independent: frozenset[int]
     observer: Observer = NULL_OBSERVER
-    retry: RetryPolicy = DEFAULT_RETRY_POLICY
-    injector: FaultInjector | None = None
+    options: RunOptions = RunOptions()
+    # The run's state, set by ExecutionBackend.execute from the options.
     health: RunHealth = field(default_factory=RunHealth)
+    injector: FaultInjector | None = None
     checkpoint: CheckpointRun | None = None
-    """Durable segment-result store for this run (``None`` = no
-    checkpointing).  The segment loop consults it before executing a
-    segment and writes through after each success (see
-    :mod:`repro.exec.durability`)."""
     max_inflight: int | None = None
     """Admission-guard bound on concurrently in-flight segment
     dispatches (``None`` = unbounded).  Consumed by the process
@@ -149,6 +182,15 @@ class SegmentOutcome:
     decode_cycles: int
     """``T_cpu`` for this segment (Figure 11), charged on the
     availability chain by the orchestrator when actually consumed."""
+
+
+@dataclass(frozen=True)
+class Execution:
+    """Per-segment outcomes, plus the run's ``health`` (and
+    ``checkpoint``) records for ``PAPRunResult.extra``."""
+
+    outcomes: list[SegmentOutcome]
+    extra: dict
 
 
 def _draw_fault(
@@ -215,19 +257,131 @@ def _in_process_attempt(
     return attempt
 
 
+def _admit(
+    ctx: ExecutionContext,
+    health: RunHealth,
+    plans: tuple[SegmentPlan, ...],
+    data: bytes,
+) -> int | None:
+    """The admission guard's in-flight bound; raises if it refuses."""
+    if ctx.options.admission is None:
+        return None
+    decision = ctx.options.admission.check(plans, input_bytes=len(data))
+    health.admission = decision.to_dict()
+    if ctx.observer.enabled:
+        ctx.observer.instant(
+            "admission", track=TRACK_RUN, args=health.admission
+        )
+    if decision.action == "refuse":
+        raise AdmissionError(
+            f"admission guard refused the run: {decision.reason}"
+        )
+    return decision.wave_size
+
+
+def _open_checkpoint(
+    ctx: ExecutionContext,
+    health: RunHealth,
+    plans: tuple[SegmentPlan, ...],
+    data: bytes,
+) -> CheckpointRun | None:
+    """This run's checkpoint file, opened (and on resume loaded)."""
+    options = ctx.options
+    if options.checkpoint is None:
+        return None
+    store = options.checkpoint
+    if not isinstance(store, CheckpointStore):
+        store = CheckpointStore(store)
+    checkpoint = store.open_run(
+        run_fingerprint(
+            ctx.automaton, ctx.config, data, num_segments=len(plans)
+        ),
+        resume=options.resume,
+        meta={
+            "automaton": ctx.automaton.name,
+            "input_bytes": len(data),
+            "segments": len(plans),
+        },
+    )
+    # Into health up front: a crash bundle from any later point of this
+    # run must name where the resumable state lives.
+    health.checkpoint_path = str(checkpoint.path)
+    if ctx.observer.enabled:
+        ctx.observer.instant(
+            "checkpoint-open",
+            track=TRACK_RUN,
+            args={
+                "path": health.checkpoint_path,
+                "resume": options.resume,
+                "available": checkpoint.available,
+            },
+        )
+    return checkpoint
+
+
 class ExecutionBackend:
     """Strategy interface: run all segments of one planned input.
 
-    :meth:`execute` is the one segment loop; subclasses supply
-    :meth:`_attempts`, one try at one segment.  Keeping the host-side
-    dependency chain (unit truth, FIV timing, checkpoints, composition)
-    in one loop is what makes the bit-exactness contract cheap to
-    uphold.
+    :meth:`execute` owns the run lifecycle and the one segment loop;
+    subclasses supply :meth:`_attempts`, one try at one segment.
+    Keeping the host-side dependency chain (unit truth, FIV timing,
+    checkpoints, composition) in one loop is what makes the
+    bit-exactness contract cheap to uphold.
     """
 
     name = "abstract"
 
     def execute(
+        self,
+        ctx: ExecutionContext,
+        data: bytes,
+        plans: tuple[SegmentPlan, ...],
+    ) -> Execution:
+        """Run one planned input under ``ctx.options``.
+
+        The admission guard decides first, so a refused run never
+        touches the checkpoint; then the checkpoint opens and the
+        segment loop runs.  One ``finally`` settles health and closes
+        the checkpoint on every exit; on failure the observer's
+        ``run_failed`` hook (the flight recorder's crash bundle) then
+        gets that settled health.
+        """
+        options = ctx.options
+        health = RunHealth(run_id=ctx.observer.run_id)
+        injector = FaultInjector(options.faults) if options.faults else None
+        checkpoint: CheckpointRun | None = None
+        failure: Exception | None = None
+        try:
+            max_inflight = _admit(ctx, health, plans, data)
+            checkpoint = _open_checkpoint(ctx, health, plans, data)
+            ctx = replace(
+                ctx,
+                health=health,
+                injector=injector,
+                checkpoint=checkpoint,
+                max_inflight=max_inflight,
+            )
+            outcomes = self._run_segments(ctx, data, plans)
+        except Exception as error:
+            failure = error
+            raise
+        finally:
+            if injector is not None:
+                health.injected = list(injector.injected)
+            if checkpoint is not None:
+                health.checkpoint_hits = checkpoint.hits
+                health.checkpoint_writes = checkpoint.writes
+                checkpoint.close()
+            if failure is not None:
+                ctx.observer.run_failed(failure, health=health)
+        extra: dict = {"health": health.to_dict()}
+        if checkpoint is not None:
+            extra["checkpoint"] = dict(
+                checkpoint.to_dict(), resumed=options.resume
+            )
+        return Execution(outcomes=outcomes, extra=extra)
+
+    def _run_segments(
         self,
         ctx: ExecutionContext,
         data: bytes,
@@ -243,32 +397,32 @@ class ExecutionBackend:
         """
         if not plans:
             return []
-        attempt = self._attempts(ctx, data, plans)
         outcomes: list[SegmentOutcome] = []
         previous_matched: frozenset[int] = frozenset()
         fiv_chain = 0
-        for plan in plans:
-            truth, fiv_time = self._segment_inputs(
-                ctx, plan, previous_matched, fiv_chain
-            )
-            result = self._checkpoint_load(ctx, plan)
-            if result is None:
-                result = run_with_retry(
-                    ctx.retry,
-                    ctx.health,
-                    ctx.observer,
-                    plan.segment.index,
-                    partial(attempt, plan, truth, fiv_time),
-                    on_failure=partial(self._attempt_failed, ctx, plan),
+        with self._attempts(ctx, data, plans) as attempt:
+            for plan in plans:
+                truth, fiv_time = self._segment_inputs(
+                    ctx, plan, previous_matched, fiv_chain
                 )
-                self._checkpoint_store(ctx, plan, result)
-            outcome = self._compose(ctx, result, truth)
-            fiv_chain = (
-                max(fiv_chain, result.metrics.finish_cycles)
-                + outcome.decode_cycles
-            )
-            previous_matched = outcome.composed.final_matched
-            outcomes.append(outcome)
+                result = self._checkpoint_load(ctx, plan)
+                if result is None:
+                    result = run_with_retry(
+                        ctx.options.retry,
+                        ctx.health,
+                        ctx.observer,
+                        plan.segment.index,
+                        partial(attempt, plan, truth, fiv_time),
+                        on_failure=partial(self._attempt_failed, ctx, plan),
+                    )
+                    self._checkpoint_store(ctx, plan, result)
+                outcome = self._compose(ctx, result, truth)
+                fiv_chain = (
+                    max(fiv_chain, result.metrics.finish_cycles)
+                    + outcome.decode_cycles
+                )
+                previous_matched = outcome.composed.final_matched
+                outcomes.append(outcome)
         return outcomes
 
     def _attempts(
@@ -276,8 +430,9 @@ class ExecutionBackend:
         ctx: ExecutionContext,
         data: bytes,
         plans: tuple[SegmentPlan, ...],
-    ) -> Attempt:
-        """This run's attempt function, built once per run."""
+    ) -> AbstractContextManager[Attempt]:
+        """This run's attempt function, built once per run, as a
+        context manager whose exit releases any per-run dispatches."""
         raise NotImplementedError
 
     def _attempt_failed(
@@ -409,15 +564,16 @@ class SerialBackend(ExecutionBackend):
         self.strategy = strategy
         self.name = "serial" if strategy == "set" else strategy
 
+    @contextmanager
     def _attempts(
         self,
         ctx: ExecutionContext,
         data: bytes,
         plans: tuple[SegmentPlan, ...],
-    ) -> Attempt:
+    ) -> Iterator[Attempt]:
         if ctx.observer.enabled:
             ctx.observer.metrics.gauge("exec.workers").set(1)
-        return _in_process_attempt(ctx, data, self.strategy)
+        yield _in_process_attempt(ctx, data, self.strategy)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -455,6 +611,10 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
+
+    #: The failure ladder's last rung: this many consecutive worker
+    #: crashes or dispatch timeouts move execution in-process.
+    DOWNGRADE_AFTER = 3
 
     def __init__(
         self,
@@ -518,7 +678,7 @@ class ProcessPoolBackend(ExecutionBackend):
         (one lost worker), so the rebuilt pool keeps its width; from the
         second on, re-dispatching at the same width is just re-arming
         the same failure, so each further one halves it (n → n/2 → … →
-        1); the ``downgrade_after``-th moves execution in-process.  A
+        1); the :attr:`DOWNGRADE_AFTER`-th moves execution in-process.  A
         successful pool attempt resets the count.  Transient errors
         retry in place and never count: they say nothing about the pool.
         Every rung is recorded in RunHealth.
@@ -554,8 +714,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         "error": kind,
                     },
                 )
-        limit = ctx.retry.downgrade_after
-        if limit is None or self._consecutive < limit:
+        if self._consecutive < self.DOWNGRADE_AFTER:
             return
         self._degraded = (
             f"{self._consecutive} consecutive infrastructure failures "
@@ -586,12 +745,13 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- dispatch ---------------------------------------------------------
 
+    @contextmanager
     def _attempts(
         self,
         ctx: ExecutionContext,
         data: bytes,
         plans: tuple[SegmentPlan, ...],
-    ) -> Attempt:
+    ) -> Iterator[Attempt]:
         obs = ctx.observer
         if self._degraded is not None:
             # The ladder's last rung outlives the run that reached it:
@@ -669,8 +829,19 @@ class ProcessPoolBackend(ExecutionBackend):
             pump()
             return result
 
-        pump()
-        return attempt
+        try:
+            pump()
+            yield attempt
+        except Exception as error:
+            # A failed run leaves its prefetched dispatches uncollected:
+            # cancel them and end their spans.
+            for entry in prefetched.values():
+                if not isinstance(entry, BaseException):
+                    entry[0].cancel()
+                    obs.end_span(
+                        entry[1], args={"outcome": type(error).__name__}
+                    )
+            raise
 
     def _submit(
         self,
@@ -728,6 +899,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 obs.enabled,
             )
         except BrokenProcessPool as error:
+            obs.end_span(span, args={"outcome": "WorkerCrashError"})
             self._teardown(wait=False)
             raise WorkerCrashError(
                 f"process backend could not dispatch segment {index}: "
@@ -755,15 +927,17 @@ class ProcessPoolBackend(ExecutionBackend):
         cancelled.  Both copies compute the same pure function of the
         same inputs, so first-winner selection cannot change the cycle
         domain.  The per-segment dispatch timeout, when set, still
-        bounds the *total* wait including the hedge.
+        bounds the *total* wait including the hedge.  A failed attempt
+        ends the span of every copy it dispatched, naming the error.
         """
         obs = ctx.observer
         index = plan.segment.index
-        timeout = ctx.retry.segment_timeout_s
+        timeout = ctx.options.retry.segment_timeout_s
         policy = self.hedge
         start = time.monotonic()
         threshold = policy.threshold_s(samples) if policy is not None else None
         outstanding: dict[Future, int] = {future: span}
+        spans = [span]
         hedged = False
         task_result = None
         winner_span = span
@@ -772,13 +946,22 @@ class ProcessPoolBackend(ExecutionBackend):
             while task_result is None:
                 elapsed = time.monotonic() - start
                 if timeout is not None and elapsed >= timeout:
-                    raise FuturesTimeoutError()
+                    # The worker may be genuinely hung; it cannot be
+                    # reclaimed, so recycle the whole pool and let any
+                    # retry start fresh.
+                    for pending in outstanding:
+                        pending.cancel()
+                    self._teardown(wait=False)
+                    raise SegmentTimeoutError(
+                        f"segment {index} exceeded the {timeout:g}s "
+                        "dispatch timeout; worker pool recycled"
+                    )
                 quanta = []
                 if timeout is not None:
                     quanta.append(timeout - elapsed)
                 if threshold is not None and not hedged:
                     quanta.append(max(threshold - elapsed, 0.0))
-                    quanta.append(policy.poll_interval_s)
+                    quanta.append(HEDGE_POLL_S)
                 quantum = min(quanta) if quanta else None
                 done, _ = wait(
                     outstanding, timeout=quantum, return_when=FIRST_COMPLETED
@@ -792,6 +975,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         hedged = True
                         hedge_future, hedge_span = redispatch()
                         outstanding[hedge_future] = hedge_span
+                        spans.append(hedge_span)
                         ctx.health.hedges += 1
                         obs.metrics.counter("exec.hedges").inc()
                         if obs.enabled:
@@ -844,16 +1028,12 @@ class ProcessPoolBackend(ExecutionBackend):
                     raise ExecutionError(
                         f"segment {index} failed in worker process: {error!r}"
                     ) from error
-        except FuturesTimeoutError as error:
-            # The worker may be genuinely hung; it cannot be reclaimed,
-            # so recycle the whole pool and let any retry start fresh.
-            for pending in outstanding:
-                pending.cancel()
-            self._teardown(wait=False)
-            raise SegmentTimeoutError(
-                f"segment {index} exceeded the {timeout:g}s dispatch "
-                "timeout; worker pool recycled"
-            ) from error
+        except Exception as error:
+            # Spans that already ended (a cancelled or failed copy while
+            # another was still out) keep their own outcome.
+            for handle in spans:
+                obs.end_span(handle, args={"outcome": type(error).__name__})
+            raise
         for loser, loser_span in outstanding.items():
             loser.cancel()
             obs.end_span(loser_span, args={"outcome": "hedge-loser"})

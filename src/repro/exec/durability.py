@@ -15,19 +15,21 @@ segment-level checkpointing and speculative re-execution sound:
     A content-addressed segment-result store: one append-only JSONL
     file per *run fingerprint* (automaton × config × input digest ×
     segment count), each record fsync'd and checksummed.  The segment
-    loop writes through as segments complete; ``pap.run(resume=True)`` skips
-    every segment whose proven result is already on disk — including
-    after a ``kill -9`` of the parent, because records are durable the
-    moment :meth:`CheckpointRun.record` returns.  Torn or corrupted
+    loop writes through as segments complete;
+    ``RunOptions(checkpoint=..., resume=True)`` skips every segment
+    whose proven result is already on disk — including after a
+    ``kill -9`` of the parent, because records are durable the moment
+    :meth:`CheckpointRun.record` returns.  Torn or corrupted
     records (a crash mid-write, a bad disk) fail their checksum and are
     silently dropped: the segment simply re-executes.
 
 :class:`HedgePolicy`
-    Straggler detection for the process backend: once enough segments
-    have completed, a segment whose dispatch wall exceeds
-    ``median + mad_multiplier * MAD`` of the completed walls is
-    speculatively re-dispatched and the first result wins.  Bit-exact
-    by construction — both dispatches compute the same pure function.
+    Straggler detection for the process backend: once
+    :data:`HEDGE_MIN_SAMPLES` segments have completed, a segment whose
+    dispatch wall exceeds ``median + mad_multiplier * MAD`` of the
+    completed walls is speculatively re-dispatched and the first
+    result wins.  Bit-exact by construction — both dispatches compute
+    the same pure function.
 
 :class:`AdmissionPolicy`
     A pre-execution resource guard: predicts the run's peak host memory
@@ -326,6 +328,9 @@ class CheckpointRun:
         self.path = path
         self.fingerprint = fingerprint
         self.dropped_records = dropped_records
+        # Intact records loaded at open (the resumable segments); the
+        # run's own writes do not count.
+        self.available = len(cached)
         self.hits = 0
         self.writes = 0
         self._cached = cached
@@ -334,11 +339,6 @@ class CheckpointRun:
         self._recorded = 0
         kill_after = os.environ.get(KILL_ENV, "")
         self._kill_after = int(kill_after) if kill_after.isdigit() else 0
-
-    @property
-    def available(self) -> int:
-        """Intact records loaded at open time (resumable segments)."""
-        return len(self._cached)
 
     def has(self, plan: SegmentPlan) -> bool:
         """Whether a matching record exists, without counting a hit."""
@@ -440,43 +440,44 @@ class CheckpointRun:
 # -- straggler hedging ------------------------------------------------------
 
 
+#: Completed dispatch walls needed before any segment is hedged.
+HEDGE_MIN_SAMPLES = 3
+#: Floor of the hedge threshold: hedging microsecond segments buys
+#: nothing and costs a dispatch.
+HEDGE_MIN_THRESHOLD_S = 0.05
+#: How often a dispatch wait wakes to check the hedge threshold.
+HEDGE_POLL_S = 0.02
+
+
 @dataclasses.dataclass(frozen=True)
 class HedgePolicy:
     """When to speculatively re-dispatch a slow segment.
 
     The threshold is robust-statistics based, mirroring the repo's
     wall-clock methodology (:func:`repro.perf.measure.measure_wall`):
-    with at least ``min_samples`` completed dispatch walls, a segment
-    still outstanding after ``median + mad_multiplier * MAD`` seconds
-    is hedged.  The MAD is floored at 5% of the median (all-equal
-    samples otherwise collapse the threshold to the median itself) and
-    the whole threshold at ``min_threshold_s`` (hedging microsecond
-    segments buys nothing and costs a dispatch).
+    with at least :data:`HEDGE_MIN_SAMPLES` completed dispatch walls, a
+    segment still outstanding after ``median + mad_multiplier * MAD``
+    seconds is hedged.  The MAD is floored at 5% of the median
+    (all-equal samples otherwise collapse the threshold to the median
+    itself) and the whole threshold at :data:`HEDGE_MIN_THRESHOLD_S`.
     """
 
     mad_multiplier: float = 4.0
-    min_samples: int = 3
-    min_threshold_s: float = 0.05
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.mad_multiplier <= 0:
             raise ConfigurationError("hedge mad_multiplier must be positive")
-        if self.min_samples < 1:
-            raise ConfigurationError("hedge min_samples must be >= 1")
-        if self.min_threshold_s < 0:
-            raise ConfigurationError("hedge min_threshold_s must be >= 0")
-        if self.poll_interval_s <= 0:
-            raise ConfigurationError("hedge poll_interval_s must be positive")
 
     def threshold_s(self, samples: Sequence[float]) -> float | None:
         """Hedge-after threshold, or ``None`` with too few samples."""
-        if len(samples) < self.min_samples:
+        if len(samples) < HEDGE_MIN_SAMPLES:
             return None
         median = statistics.median(samples)
         mad = statistics.median(abs(s - median) for s in samples)
         spread = max(mad, 0.05 * median)
-        return max(self.min_threshold_s, median + self.mad_multiplier * spread)
+        return max(
+            HEDGE_MIN_THRESHOLD_S, median + self.mad_multiplier * spread
+        )
 
 
 # -- admission guard --------------------------------------------------------
@@ -520,7 +521,6 @@ class AdmissionPolicy:
 
     memory_budget_bytes: int | None = None
     mode: str = "chunk"
-    bytes_per_flow: int = BYTES_PER_FLOW
 
     def __post_init__(self) -> None:
         if self.mode not in ("chunk", "refuse"):
@@ -532,13 +532,11 @@ class AdmissionPolicy:
             and self.memory_budget_bytes < 1
         ):
             raise ConfigurationError("memory budget must be positive")
-        if self.bytes_per_flow < 1:
-            raise ConfigurationError("bytes_per_flow must be positive")
 
     def segment_bytes(self, plan: SegmentPlan) -> int:
         """Predicted resident bytes for one in-flight segment."""
         flows = len(plan.flows) + 2  # + ASG flow + golden/report slack
-        return flows * self.bytes_per_flow + plan.segment.length
+        return flows * BYTES_PER_FLOW + plan.segment.length
 
     def check(
         self, plans: Sequence[SegmentPlan], *, input_bytes: int

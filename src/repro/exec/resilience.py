@@ -6,8 +6,8 @@ input, plan, FIV inputs), so re-executing a failed segment is *bit
 exact* — recovery can be verified against a fault-free run, not just
 hoped for.  :func:`run_with_retry` is the shared driver both backends
 wrap around one segment's execution attempts; :class:`RetryPolicy`
-bounds it (attempt budget, capped exponential backoff, wall deadline,
-per-segment dispatch timeout); :class:`RunHealth` records what
+bounds it (attempt budget, capped exponential backoff, per-segment
+dispatch timeout); :class:`RunHealth` records what
 actually happened so ``PAPRunResult.extra["health"]`` and the
 ``exec.*`` metrics can surface it.
 """
@@ -32,6 +32,11 @@ TRACK_EXEC = "exec"
 
 T = TypeVar("T")
 
+#: Capped exponential backoff: each failed attempt multiplies the sleep
+#: by this factor, up to :data:`BACKOFF_MAX_S` seconds.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -42,46 +47,27 @@ class RetryPolicy:
     max_retries:
         Re-executions allowed per segment after its first attempt
         (``0`` — the default — preserves fail-fast behaviour).
-    backoff_base_s / backoff_factor / backoff_max_s:
-        Capped exponential backoff: the sleep before retry ``n`` is
-        ``min(backoff_max_s, backoff_base_s * backoff_factor**(n-1))``.
+    backoff_base_s:
+        Sleep before the first retry; the sleep before retry ``n`` is
+        ``min(BACKOFF_MAX_S, backoff_base_s * BACKOFF_FACTOR**(n-1))``.
         Deterministic (no jitter): retried runs must stay reproducible.
-    deadline_s:
-        Wall-clock budget for one segment across all its attempts;
-        exceeded mid-recovery, the run fails even with retries left.
     segment_timeout_s:
         Per-dispatch timeout on the process backend.  A segment that
         does not return in time counts as a timeout failure (the worker
         pool is recycled, since a hung worker cannot be reclaimed).
-    downgrade_after:
-        The process backend's failure-ladder threshold: this many
-        consecutive worker crashes or dispatch timeouts move execution
-        in-process, for the rest of the run and for later runs on the
-        same backend until it is closed.  ``None`` disables
-        degradation.
     """
 
     max_retries: int = 0
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    deadline_s: float | None = None
     segment_timeout_s: float | None = None
-    downgrade_after: int | None = 3
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigurationError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff factor must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError("deadline must be positive")
+        if self.backoff_base_s < 0:
+            raise ConfigurationError("backoff_base_s must be >= 0")
         if self.segment_timeout_s is not None and self.segment_timeout_s <= 0:
             raise ConfigurationError("segment timeout must be positive")
-        if self.downgrade_after is not None and self.downgrade_after < 1:
-            raise ConfigurationError("downgrade_after must be >= 1")
 
     @property
     def max_attempts(self) -> int:
@@ -90,13 +76,12 @@ class RetryPolicy:
     def delay_s(self, attempt: int) -> float:
         """Backoff slept after failed attempt number ``attempt``."""
         return min(
-            self.backoff_max_s,
-            self.backoff_base_s * self.backoff_factor ** (attempt - 1),
+            BACKOFF_MAX_S, self.backoff_base_s * BACKOFF_FACTOR ** (attempt - 1)
         )
 
 
-#: Fail-fast: no retries, no timeout, no degradation — the pre-existing
-#: backend behaviour, and what ``pap.run`` uses when none is given.
+#: Fail-fast: no retries, no timeout — the pre-existing backend
+#: behaviour, and what :class:`~repro.exec.backend.RunOptions` defaults to.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
@@ -190,7 +175,6 @@ def run_with_retry(
     *,
     on_failure: Callable[[BaseException], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
 ) -> T:
     """Drive one segment's execution attempts under ``policy``.
 
@@ -198,8 +182,8 @@ def run_with_retry(
     collect) and either returns the :class:`SegmentResult` or raises.
     Only :data:`~repro.errors.RETRYABLE_ERRORS` are retried — anything
     else (lint failures, configuration errors, deterministic worker
-    bugs) propagates immediately.  When the attempt budget or the
-    deadline is exhausted, the last error is wrapped in an
+    bugs) propagates immediately.  When the attempt budget is
+    exhausted, the last error is wrapped in an
     :class:`~repro.errors.ExecutionError` naming the segment and the
     attempt count.
 
@@ -208,7 +192,6 @@ def run_with_retry(
     consecutive infrastructure failures with it, so it must run even
     for the failure that exhausts the budget.
     """
-    start = clock()
     attempt = 0
     while True:
         attempt += 1
@@ -230,19 +213,10 @@ def run_with_retry(
                 observer.metrics.counter("exec.crashes").inc()
             if on_failure is not None:
                 on_failure(error)
-            elapsed = clock() - start
-            over_deadline = (
-                policy.deadline_s is not None and elapsed >= policy.deadline_s
-            )
-            if attempt >= policy.max_attempts or over_deadline:
-                reason = (
-                    "deadline exceeded"
-                    if over_deadline and attempt < policy.max_attempts
-                    else "retries exhausted"
-                )
+            if attempt >= policy.max_attempts:
                 raise ExecutionError(
                     f"segment {segment_index} failed after {attempt} "
-                    f"attempt(s) ({reason}): {error}"
+                    f"attempt(s) (retries exhausted): {error}"
                 ) from error
             health.retries += 1
             observer.metrics.counter("exec.retries").inc()

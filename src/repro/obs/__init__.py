@@ -4,8 +4,7 @@ The instrumentation spine of the simulator: a span/event tracer that
 records in both simulated-cycle and host wall-clock domains
 (:mod:`repro.obs.tracer`), a counter/gauge/histogram metrics registry
 (:mod:`repro.obs.metrics`), a Chrome trace-event exporter loadable in
-Perfetto (:mod:`repro.obs.chrome`), a text profiler
-(:mod:`repro.obs.profile`), a phase-attribution profiler
+Perfetto (:mod:`repro.obs.chrome`), a phase-attribution profiler
 (:mod:`repro.obs.phases`), and worker-side capture for the process
 backend (:mod:`repro.obs.remote`) — shipped record batches merge into
 the parent's timeline so ledgers and exports stay whole-run truthful
@@ -16,12 +15,12 @@ through :class:`~repro.core.pap.ParallelAutomataProcessor`, the
 segment scheduler, host composition, the state-vector cache, and the
 event buffer cost near-zero until a :class:`Tracer` is attached::
 
-    from repro.obs import Tracer
+    from repro.obs import Tracer, render_phase_profile
 
     tracer = Tracer()
     result = ParallelAutomataProcessor(automaton, observer=tracer).run(data)
     tracer.write_chrome("trace.json")     # open in ui.perfetto.dev
-    print(tracer.text_profile())
+    print(render_phase_profile(result.phases))
 """
 
 from repro.obs.chrome import export_chrome_trace, validate_chrome_trace
@@ -47,7 +46,6 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
 )
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
-from repro.obs.profile import render_profile
 from repro.obs.telemetry import (
     FlightRecorder,
     LEDGER_SCHEMA_VERSION,
@@ -102,7 +100,6 @@ __all__ = [
     "read_ledger",
     "render_openmetrics",
     "render_phase_profile",
-    "render_profile",
     "summarize_ledger",
     "summarize_run_phases",
     "summarize_workers",

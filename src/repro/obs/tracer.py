@@ -23,8 +23,8 @@ Three record kinds cover the architecture's dynamics:
 all no-ops and ``enabled`` is ``False``, so production code threads an
 observer unconditionally and pays (nearly) nothing when tracing is
 off.  :class:`Tracer` is the recording subclass; its event list feeds
-the Chrome trace-event exporter (:mod:`repro.obs.chrome`) and the text
-profiler (:mod:`repro.obs.profile`).
+the Chrome trace-event exporter (:mod:`repro.obs.chrome`) and the
+flight-recorder ledger (:mod:`repro.obs.telemetry`).
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class Observer:
         cycle: int | None = None,
         args: dict[str, Any] | None = None,
     ) -> None:
-        """Close the span identified by ``handle``."""
+        """Close the span identified by ``handle``; closing an
+        already-closed span is a no-op."""
 
     def complete_span(
         self,
@@ -396,12 +397,6 @@ class Tracer(Observer):
 
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome(domain=domain), handle)
-
-    def text_profile(self) -> str:
-        """Human-readable aggregate profile (see :mod:`repro.obs.profile`)."""
-        from repro.obs.profile import render_profile
-
-        return render_profile(self)
 
 
 @dataclass

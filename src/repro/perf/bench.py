@@ -17,10 +17,7 @@ from typing import Callable
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.errors import ConfigurationError
-from repro.exec.backend import ExecutionBackend, resolve_backend
-from repro.exec.durability import HedgePolicy
-from repro.exec.faults import FaultPlan
-from repro.exec.resilience import RetryPolicy
+from repro.exec.backend import ExecutionBackend, RunOptions, resolve_backend
 from repro.perf.artifact import BenchmarkRecord, PerfReport
 from repro.perf.measure import measure_wall
 from repro.sim.runner import run_benchmark
@@ -81,46 +78,34 @@ def run_bench_suite(
     warmup: int = 1,
     repeats: int = 3,
     backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
     use_fiv: bool = True,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    hedge: HedgePolicy | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
+    options: RunOptions = RunOptions(),
     progress: Callable[[str], None] | None = None,
 ) -> PerfReport:
     """Run ``names`` and return the artifact-ready report.
 
-    ``backend``/``workers`` select the host execution backend
-    (:mod:`repro.exec`).  Cycle-domain metrics are backend-invariant, so
-    artifacts captured under different backends compare clean with
-    ``--fail-on cycles`` and differ only in their wall-clock stats —
-    that is how serial vs. process wall speedups are measured (see
-    EXPERIMENTS.md).  One backend instance is shared by every benchmark
-    and repeat, so process pools are spawned (and their workers warmed)
-    once per suite, not once per run.
+    ``backend`` selects the host execution backend (:mod:`repro.exec`);
+    pass an instance to size or hedge a pool (the caller closes it).
+    Cycle-domain metrics are backend-invariant, so artifacts captured
+    under different backends compare clean with ``--fail-on cycles``
+    and differ only in their wall-clock stats — that is how serial vs.
+    process wall speedups are measured (see EXPERIMENTS.md).  One
+    backend instance is shared by every benchmark and repeat, so
+    process pools are spawned (and their workers warmed) once per
+    suite, not once per run.
 
     ``use_fiv=False`` disables the flow-invalidation vector, removing
     the cross-segment dispatch dependency so the process backend can run
     all segments concurrently (wall-parallel ablation).
 
-    ``retry``/``faults`` thread the recovery policy and fault plan into
-    every run (the chaos CI job injects worker crashes here).  They are
-    recorded in the artifact's ``parameters`` — which are never gated —
-    while ``cycles`` stay bit-exact under recovery, so a chaos artifact
-    compares clean against a fault-free baseline.
-
-    ``checkpoint`` names a directory for the durable segment-result
-    store; ``resume=True`` replays segments already proven there under
-    the same run fingerprint.  Resumed cycles are bit-exact, so a
-    resumed artifact also compares clean with ``--fail-on cycles`` —
-    the kill-and-resume CI stage depends on it.  ``hedge`` attaches
-    straggler hedging to a process backend named by ``backend``
-    (instances already own theirs).
+    ``options`` (:class:`~repro.exec.RunOptions`) applies to every run
+    (the chaos CI job injects worker crashes, the kill-and-resume stage
+    resumes from a checkpoint).  They are recorded in the artifact's
+    ``parameters`` — which are never gated — while ``cycles`` stay
+    bit-exact under recovery and resume, so such an artifact compares
+    clean against a fault-free baseline with ``--fail-on cycles``.
     """
-    resolved = resolve_backend(backend, workers=workers, hedge=hedge)
-    owns_backend = not isinstance(backend, ExecutionBackend)
+    resolved = resolve_backend(backend)
     config = (
         DEFAULT_CONFIG if use_fiv else replace(DEFAULT_CONFIG, use_fiv=False)
     )
@@ -138,14 +123,14 @@ def run_bench_suite(
             "workers": getattr(resolved, "workers", 1),
             "use_fiv": use_fiv,
             "benchmarks": list(names),
-            "retries": retry.max_retries if retry is not None else 0,
-            "segment_timeout_s": (
-                retry.segment_timeout_s if retry is not None else None
+            "retries": options.retry.max_retries,
+            "segment_timeout_s": options.retry.segment_timeout_s,
+            "faults": (
+                options.faults.to_dict() if options.faults is not None else None
             ),
-            "faults": faults.to_dict() if faults is not None else None,
-            "checkpoint": checkpoint,
-            "resume": resume,
-            "hedge": hedge is not None,
+            "checkpoint": options.checkpoint,
+            "resume": options.resume,
+            "hedge": getattr(resolved, "hedge", None) is not None,
         },
     )
     try:
@@ -161,10 +146,7 @@ def run_bench_suite(
                     trace_seed=seed + 1,
                     config=config,
                     backend=resolved,
-                    retry=retry,
-                    faults=faults,
-                    checkpoint=checkpoint,
-                    resume=resume,
+                    options=options,
                 ),
                 warmup=warmup,
                 repeats=repeats,
@@ -177,6 +159,6 @@ def run_bench_suite(
                     f"±{wall.mad_s * 1e3:.1f}ms"
                 )
     finally:
-        if owns_backend:
+        if resolved is not backend:
             resolved.close()
     return report

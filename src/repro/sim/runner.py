@@ -17,10 +17,7 @@ from repro.core.config import DEFAULT_CONFIG, PAPConfig
 from repro.core.metrics import PAPRunResult
 from repro.core.pap import ParallelAutomataProcessor
 from repro.errors import ExecutionError
-from repro.exec.backend import ExecutionBackend
-from repro.exec.durability import AdmissionPolicy, CheckpointStore
-from repro.exec.faults import FaultPlan
-from repro.exec.resilience import RetryPolicy
+from repro.exec.backend import ExecutionBackend, RunOptions
 from repro.obs.tracer import Observer, Tracer
 from repro.workloads.suite import BenchmarkInstance
 
@@ -160,11 +157,7 @@ def run_benchmark(
     verify_reports: bool = True,
     observer: Observer | None = None,
     backend: ExecutionBackend | str | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint: CheckpointStore | str | None = None,
-    resume: bool = False,
-    admission: AdmissionPolicy | None = None,
+    options: RunOptions = RunOptions(),
 ) -> BenchmarkRun:
     """Run one benchmark end to end and package the measurement.
 
@@ -186,21 +179,13 @@ def run_benchmark(
     backends.  Pass a backend *instance* to reuse one worker pool
     across repeated runs (the caller closes it).
 
-    ``retry`` and ``faults`` thread the recovery policy and fault plan
-    into :meth:`ParallelAutomataProcessor.run`; because recovered runs
-    are bit-exact in the cycle domain, the ``to_dict`` payload stays
-    identical under injected faults — which is exactly what the chaos
-    CI job asserts.  The recovery record lands in
+    ``options`` (:class:`~repro.exec.RunOptions`: retries, faults,
+    checkpoint/resume, admission) passes through to
+    :meth:`ParallelAutomataProcessor.run`.  Recovered and resumed runs
+    are bit-exact in the cycle domain, so the ``to_dict`` payload stays
+    identical under injected faults and across a kill-and-resume — what
+    the chaos CI stages gate.  The recovery record lands in
     ``run.pap.extra["health"]``.
-
-    ``checkpoint``/``resume``/``admission`` thread the durability
-    machinery (:mod:`repro.exec.durability`) into the run: segment
-    results are written through to the checkpoint store as they
-    complete, ``resume=True`` skips segments already proven under the
-    same run fingerprint, and ``admission`` pre-checks the run against
-    a memory budget.  A resumed run replays checkpointed cycle-domain
-    results bit-exactly, so its ``to_dict`` payload matches a cold
-    run's — that is what the kill-and-resume CI stage gates.
     """
     board = BoardGeometry(ranks=ranks)
     timing = config.timing
@@ -215,15 +200,7 @@ def run_benchmark(
         config=config,
         half_cores=benchmark.half_cores,
         observer=observer,
-    ).run(
-        data,
-        backend=backend,
-        retry=retry,
-        faults=faults,
-        checkpoint=checkpoint,
-        resume=resume,
-        admission=admission,
-    )
+    ).run(data, backend=backend, options=options)
 
     matches = pap.reports == baseline.reports
     if verify_reports and not matches:

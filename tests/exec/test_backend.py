@@ -122,7 +122,8 @@ def test_run_accepts_backend_name_and_workers():
         automaton, config=PAPConfig(geometry=board(4))
     )
     serial = pap.run(data)
-    parallel = pap.run(data, backend="process", workers=2)
+    with ProcessPoolBackend(workers=2) as backend:
+        parallel = pap.run(data, backend=backend)
     assert fingerprint(parallel) == fingerprint(serial)
 
 

@@ -37,6 +37,7 @@ from repro.exec import (
     HedgePolicy,
     ProcessPoolBackend,
     RetryPolicy,
+    RunOptions,
     cycle_fingerprint,
     resolve_backend,
     run_fingerprint,
@@ -95,9 +96,11 @@ class TestRunFingerprint:
         """A serial-written checkpoint file is found by a vector resume:
         the fingerprint must not encode the backend."""
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         resumed = pap.run(
-            data, backend="vector", checkpoint=str(tmp_path), resume=True
+            data,
+            backend="vector",
+            options=RunOptions(checkpoint=str(tmp_path), resume=True),
         )
         assert resumed.extra["checkpoint"]["hits"] > 0
         assert resumed.extra["checkpoint"]["writes"] == 0
@@ -106,13 +109,15 @@ class TestRunFingerprint:
 class TestCheckpointResume:
     def test_serial_write_then_resume_bit_exact(self, workload, cold, tmp_path):
         pap, data = workload
-        first = pap.run(data, checkpoint=str(tmp_path))
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         ckpt = first.extra["checkpoint"]
         assert ckpt["writes"] == first.num_segments
         assert ckpt["hits"] == 0
         assert cycle_fingerprint(first) == cold
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         rckpt = resumed.extra["checkpoint"]
         assert rckpt["hits"] == first.num_segments
         assert rckpt["writes"] == 0
@@ -125,13 +130,12 @@ class TestCheckpointResume:
         """The acceptance criterion across all three backends: one
         serial-written checkpoint, resumed by process and vector."""
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         for backend in (pool, "vector", None):
             resumed = pap.run(
                 data,
                 backend=backend,
-                checkpoint=str(tmp_path),
-                resume=True,
+                options=RunOptions(checkpoint=str(tmp_path), resume=True),
             )
             assert cycle_fingerprint(resumed) == cold
             assert resumed.extra["checkpoint"]["writes"] == 0
@@ -140,14 +144,16 @@ class TestCheckpointResume:
         self, workload, cold, tmp_path, pool
     ):
         pap, data = workload
-        first = pap.run(data, checkpoint=str(tmp_path))
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         total = first.num_segments
         path = checkpoint_file(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
 
         resumed = pap.run(
-            data, backend=pool, checkpoint=str(tmp_path), resume=True
+            data,
+            backend=pool,
+            options=RunOptions(checkpoint=str(tmp_path), resume=True),
         )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["hits"] == total - 3
@@ -156,16 +162,33 @@ class TestCheckpointResume:
 
     def test_non_resume_rerun_discards_stale_file(self, workload, tmp_path):
         pap, data = workload
-        first = pap.run(data, checkpoint=str(tmp_path))
-        rerun = pap.run(data, checkpoint=str(tmp_path), resume=False)
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
+        rerun = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=False)
+        )
         assert rerun.extra["checkpoint"]["hits"] == 0
         assert rerun.extra["checkpoint"]["writes"] == first.num_segments
 
     def test_different_inputs_get_different_files(self, workload, tmp_path):
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
-        pap.run(data[:512], checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
+        pap.run(data[:512], options=RunOptions(checkpoint=str(tmp_path)))
         assert len(list(tmp_path.glob("*.ckpt.jsonl"))) == 2
+
+    def test_resume_without_checkpoint_is_rejected(self):
+        """A resume with nothing to resume from is a configuration
+        error, not a silently cold run."""
+        with pytest.raises(ConfigurationError, match="checkpoint"):
+            RunOptions(resume=True)
+
+    def test_available_counts_records_loaded_at_open(self, workload, tmp_path):
+        pap, data = workload
+        cold_run = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
+        assert cold_run.extra["checkpoint"]["available"] == 0
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
+        assert resumed.extra["checkpoint"]["available"] == cold_run.num_segments
 
     def test_store_root_must_be_a_directory(self, tmp_path):
         target = tmp_path / "not-a-dir"
@@ -184,8 +207,10 @@ class TestCheckpointResume:
         pap, data = make_workload(seed=seed, size=size)
         root = tmp_path / f"{seed}-{size}"
         cold = pap.run(data)
-        pap.run(data, checkpoint=str(root))
-        resumed = pap.run(data, checkpoint=str(root), resume=True)
+        pap.run(data, options=RunOptions(checkpoint=str(root)))
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(root), resume=True)
+        )
         assert cycle_fingerprint(resumed) == cycle_fingerprint(cold)
         assert resumed.extra["checkpoint"]["hits"] == cold.num_segments
 
@@ -195,12 +220,14 @@ class TestTornAndCorruptRecords:
         self, workload, cold, tmp_path
     ):
         pap, data = workload
-        first = pap.run(data, checkpoint=str(tmp_path))
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         path = checkpoint_file(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - len(raw.splitlines()[-1]) // 2])
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["dropped_records"] == 1
         assert ckpt["hits"] == first.num_segments - 1
@@ -211,13 +238,15 @@ class TestTornAndCorruptRecords:
         self, workload, cold, tmp_path
     ):
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         path = checkpoint_file(tmp_path)
         lines = path.read_text().splitlines()
         lines[3] = '{"kind": "segment", "index": 2, "payload": "trunca'
         path.write_text("\n".join(lines) + "\n")
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["dropped_records"] == 1
         assert ckpt["writes"] == 1
@@ -227,7 +256,7 @@ class TestTornAndCorruptRecords:
         """A record that parses but was modified must fail its checksum
         — detection is content-based, not parse-based."""
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         path = checkpoint_file(tmp_path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
@@ -235,7 +264,9 @@ class TestTornAndCorruptRecords:
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         assert resumed.extra["checkpoint"]["dropped_records"] == 1
         assert cycle_fingerprint(resumed) == cold
 
@@ -243,7 +274,7 @@ class TestTornAndCorruptRecords:
         self, workload, cold, tmp_path
     ):
         pap, data = workload
-        pap.run(data, checkpoint=str(tmp_path))
+        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         path = checkpoint_file(tmp_path)
         lines = path.read_text().splitlines()
         meta = json.loads(lines[0])
@@ -251,7 +282,9 @@ class TestTornAndCorruptRecords:
         lines[0] = json.dumps(meta)
         path.write_text("\n".join(lines) + "\n")
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["hits"] == 0
         assert ckpt["writes"] == resumed.num_segments
@@ -264,13 +297,17 @@ class TestTornAndCorruptRecords:
         faults = FaultPlan(
             specs=(FaultSpec(segment=4, kind="corrupt_checkpoint"),)
         )
-        first = pap.run(data, checkpoint=str(tmp_path), faults=faults)
+        first = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), faults=faults)
+        )
         assert cycle_fingerprint(first) == cold
         assert first.health["injected_faults"] == [
             {"segment": 4, "attempt": 1, "kind": "corrupt_checkpoint"}
         ]
 
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["dropped_records"] == 1
         assert ckpt["hits"] == first.num_segments - 1
@@ -282,11 +319,14 @@ KILL_SCRIPT = """
 import random
 from repro.automata.random_gen import random_ruleset_automaton
 from repro.core.pap import ParallelAutomataProcessor
+from repro.exec import RunOptions
 
 automaton = random_ruleset_automaton(5, num_patterns=4)
 rng = random.Random(105)
 data = bytes(rng.randrange(256) for _ in range(1024))
-ParallelAutomataProcessor(automaton).run(data, checkpoint={root!r})
+ParallelAutomataProcessor(automaton).run(
+    data, options=RunOptions(checkpoint={root!r})
+)
 raise SystemExit("the kill hook must fire before the run completes")
 """
 
@@ -314,7 +354,9 @@ class TestKillParentResume:
         assert len(path.read_text().splitlines()) == 6
 
         pap, data = workload
-        resumed = pap.run(data, checkpoint=str(tmp_path), resume=True)
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
         ckpt = resumed.extra["checkpoint"]
         assert ckpt["hits"] == 5
         assert ckpt["writes"] == resumed.num_segments - 5
@@ -325,14 +367,14 @@ HASHSEED_SCRIPT = """
 import random
 from repro.automata.random_gen import random_ruleset_automaton
 from repro.core.pap import ParallelAutomataProcessor
-from repro.exec import cycle_fingerprint
+from repro.exec import RunOptions, cycle_fingerprint
 
 automaton = random_ruleset_automaton(5, num_patterns=4)
 rng = random.Random(105)
 data = bytes(rng.randrange(256) for _ in range(1024))
 pap = ParallelAutomataProcessor(automaton)
-first = pap.run(data, checkpoint={root!r})
-resumed = pap.run(data, checkpoint={root!r}, resume=True)
+first = pap.run(data, options=RunOptions(checkpoint={root!r}))
+resumed = pap.run(data, options=RunOptions(checkpoint={root!r}, resume=True))
 print(first.extra["checkpoint"]["fingerprint"])
 print(cycle_fingerprint(first))
 print(cycle_fingerprint(resumed))
@@ -371,14 +413,12 @@ class TestHashSeedDeterminism:
 
 class TestHedgePolicy:
     def test_threshold_needs_min_samples(self):
-        policy = HedgePolicy(min_samples=3)
+        policy = HedgePolicy()
         assert policy.threshold_s([0.1, 0.1]) is None
         assert policy.threshold_s([0.1, 0.1, 0.1]) is not None
 
     def test_threshold_floor_and_mad(self):
-        policy = HedgePolicy(
-            mad_multiplier=4.0, min_samples=3, min_threshold_s=0.05
-        )
+        policy = HedgePolicy(mad_multiplier=4.0)
         # Zero-MAD samples fall back to the 5%-of-median guard.
         assert policy.threshold_s([1.0, 1.0, 1.0]) == pytest.approx(1.2)
         # Tiny walls clamp to the floor.
@@ -387,8 +427,6 @@ class TestHedgePolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             HedgePolicy(mad_multiplier=0.0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(min_samples=0)
 
     def test_hedge_needs_process_backend(self):
         with pytest.raises(ConfigurationError):
@@ -406,17 +444,17 @@ class TestHedgingRecovery:
             specs=(FaultSpec(segment=last, kind="hang"),), hang_s=4.0
         )
 
-        hedge_backend = ProcessPoolBackend(
-            workers=2, hedge=HedgePolicy(min_threshold_s=0.05)
-        )
+        hedge_backend = ProcessPoolBackend(workers=2, hedge=HedgePolicy())
         try:
             pap.run(data, backend=hedge_backend)  # warm the pool
             start = time.monotonic()
             hedged = pap.run(
                 data,
                 backend=hedge_backend,
-                faults=hang,
-                retry=RetryPolicy(max_retries=1, segment_timeout_s=30.0),
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=1, segment_timeout_s=30.0),
+                    faults=hang,
+                ),
             )
             hedged_wall = time.monotonic() - start
         finally:
@@ -434,8 +472,10 @@ class TestHedgingRecovery:
             deadline = pap.run(
                 data,
                 backend=deadline_backend,
-                faults=hang,
-                retry=RetryPolicy(max_retries=1, segment_timeout_s=1.5),
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=1, segment_timeout_s=1.5),
+                    faults=hang,
+                ),
             )
             deadline_wall = time.monotonic() - start
         finally:
@@ -455,7 +495,7 @@ class TestHedgingRecovery:
             specs=(FaultSpec(segment=2, kind="straggler"),),
             straggler_s=0.05,
         )
-        result = pap.run(data, faults=faults)
+        result = pap.run(data, options=RunOptions(faults=faults))
         assert cycle_fingerprint(result) == cold
         assert result.health["injected_faults"][0]["kind"] == "straggler"
 
@@ -509,9 +549,9 @@ class TestWorkerStepDown:
             result = pap.run(
                 data,
                 backend=backend,
-                faults=faults,
-                retry=RetryPolicy(
-                    max_retries=3, backoff_base_s=0.0, downgrade_after=None
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=3, backoff_base_s=0.0),
+                    faults=faults,
                 ),
             )
             assert cycle_fingerprint(result) == cold
@@ -529,9 +569,9 @@ class TestWorkerStepDown:
             pap.run(
                 data,
                 backend=backend,
-                faults=faults,
-                retry=RetryPolicy(
-                    max_retries=3, backoff_base_s=0.0, downgrade_after=None
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=3, backoff_base_s=0.0),
+                    faults=faults,
                 ),
             )
             assert backend._dispatch_workers == 1
@@ -552,18 +592,18 @@ class TestWorkerStepDown:
             broken = pap.run(
                 data,
                 backend=backend,
-                faults=FaultPlan(
-                    specs=(FaultSpec(segment=1, kind="crash", times=5),)
-                ),
-                retry=RetryPolicy(
-                    max_retries=4, backoff_base_s=0.0, downgrade_after=2
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=4, backoff_base_s=0.0),
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=1, kind="crash", times=5),)
+                    ),
                 ),
             )
             assert cycle_fingerprint(broken) == cold
             health = broken.health
             assert health["downgraded"]
             assert health["downgraded_at_segment"] == 1
-            assert health["crashes"] == 2
+            assert health["crashes"] == 3
 
             again = pap.run(data, backend=backend)
             assert cycle_fingerprint(again) == cold
@@ -596,18 +636,43 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             pap.run(
                 data,
-                admission=AdmissionPolicy(
-                    memory_budget_bytes=10_000, mode="refuse"
+                options=RunOptions(
+                    admission=AdmissionPolicy(
+                        memory_budget_bytes=10_000, mode="refuse"
+                    )
                 ),
             )
+
+    def test_refused_run_keeps_the_checkpoint(self, workload, tmp_path):
+        """The guard decides before the checkpoint opens: a refused run
+        must not discard the file a later resume needs."""
+        pap, data = workload
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
+        with pytest.raises(AdmissionError):
+            pap.run(
+                data,
+                options=RunOptions(
+                    checkpoint=str(tmp_path),
+                    admission=AdmissionPolicy(
+                        memory_budget_bytes=1, mode="refuse"
+                    ),
+                ),
+            )
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
+        assert resumed.extra["checkpoint"]["hits"] == first.num_segments
+        assert resumed.extra["checkpoint"]["writes"] == 0
 
     def test_unfittable_segment_refused_even_in_chunk_mode(self, workload):
         pap, data = workload
         with pytest.raises(AdmissionError):
             pap.run(
                 data,
-                admission=AdmissionPolicy(
-                    memory_budget_bytes=10_000, mode="chunk"
+                options=RunOptions(
+                    admission=AdmissionPolicy(
+                        memory_budget_bytes=10_000, mode="chunk"
+                    )
                 ),
             )
 
@@ -618,8 +683,10 @@ class TestAdmission:
         result = pap.run(
             data,
             backend=pool,
-            admission=AdmissionPolicy(
-                memory_budget_bytes=400_000, mode="chunk"
+            options=RunOptions(
+                admission=AdmissionPolicy(
+                    memory_budget_bytes=400_000, mode="chunk"
+                )
             ),
         )
         admission = result.health["admission"]

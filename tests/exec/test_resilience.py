@@ -5,7 +5,7 @@ The heart is the bit-exactness acceptance: a run that crashed, timed
 out, retried, or degraded to serial execution must produce a
 :class:`PAPRunResult` whose cycle-domain fingerprint is *identical* to
 a fault-free run's — recovery is verifiable, not best-effort.  Around
-it sit the policy unit tests (retry budget, backoff, deadline), the
+it sit the policy unit tests (retry budget, backoff), the
 health accounting, and the pool-rebuild regression for crashed worker
 pools."""
 
@@ -28,6 +28,7 @@ from repro.exec import (
     ProcessPoolBackend,
     RetryPolicy,
     RunHealth,
+    RunOptions,
 )
 from repro.exec.faults import FaultSpec
 from repro.exec.resilience import run_with_retry
@@ -65,24 +66,16 @@ class TestRetryPolicy:
         assert policy.segment_timeout_s is None
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_retries=9,
-            backoff_base_s=0.1,
-            backoff_factor=2.0,
-            backoff_max_s=0.5,
-        )
-        delays = [policy.delay_s(n) for n in range(1, 6)]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
+        policy = RetryPolicy(max_retries=9, backoff_base_s=0.1)
+        delays = [policy.delay_s(n) for n in range(1, 8)]
+        assert delays == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_retries": -1},
             {"backoff_base_s": -0.1},
-            {"backoff_factor": 0.5},
-            {"deadline_s": 0},
             {"segment_timeout_s": -1},
-            {"downgrade_after": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -114,7 +107,7 @@ class TestRunWithRetry:
 
         slept = []
         result = run_with_retry(
-            RetryPolicy(max_retries=3, backoff_base_s=0.1, backoff_factor=2.0),
+            RetryPolicy(max_retries=3, backoff_base_s=0.1),
             health,
             NULL_OBSERVER,
             4,
@@ -155,24 +148,6 @@ class TestRunWithRetry:
             run_with_retry(FAST, health, NULL_OBSERVER, 0, attempt)
         assert health.attempts == {0: 1}
         assert health.retries == 0
-
-    def test_deadline_stops_recovery_early(self):
-        health = RunHealth()
-        clock = iter([0.0, 10.0])  # start, then first failure check
-
-        def attempt():
-            raise TransientSegmentError("slow failure")
-
-        with pytest.raises(ExecutionError, match="deadline exceeded"):
-            run_with_retry(
-                RetryPolicy(max_retries=50, backoff_base_s=0.0, deadline_s=5.0),
-                health,
-                NULL_OBSERVER,
-                1,
-                attempt,
-                clock=lambda: next(clock),
-            )
-        assert health.attempts == {1: 1}
 
     def test_on_failure_fires_even_on_the_exhausting_attempt(self):
         seen = []
@@ -246,7 +221,7 @@ class TestSerialRecovery:
             rate=rate,
             kinds=("transient", "svc_exhaustion", "fiv_write"),
         )
-        recovered = pap.run(data, retry=FAST, faults=faults)
+        recovered = pap.run(data, options=RunOptions(retry=FAST, faults=faults))
         assert fingerprint(recovered) == fingerprint(clean)
         health = recovered.health
         assert health["retries"] == health["faults_injected"]
@@ -257,12 +232,14 @@ class TestSerialRecovery:
         clean = pap.run(data)
         recovered = pap.run(
             data,
-            retry=FAST,
-            faults=FaultPlan(
-                specs=(
-                    FaultSpec(segment=1, kind="crash"),
-                    FaultSpec(segment=2, kind="hang"),
-                )
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan(
+                    specs=(
+                        FaultSpec(segment=1, kind="crash"),
+                        FaultSpec(segment=2, kind="hang"),
+                    )
+                ),
             ),
         )
         assert fingerprint(recovered) == fingerprint(clean)
@@ -276,9 +253,11 @@ class TestSerialRecovery:
         ):
             pap.run(
                 trace(),
-                retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
-                faults=FaultPlan(
-                    specs=(FaultSpec(segment=1, kind="transient", times=5),)
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=1, kind="transient", times=5),)
+                    ),
                 ),
             )
 
@@ -287,8 +266,10 @@ class TestSerialRecovery:
         with pytest.raises(ExecutionError, match="after 1 attempt"):
             pap.run(
                 trace(),
-                faults=FaultPlan(
-                    specs=(FaultSpec(segment=1, kind="transient"),)
+                options=RunOptions(
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=1, kind="transient"),)
+                    )
                 ),
             )
 
@@ -300,8 +281,12 @@ class TestSerialRecovery:
         )
         result = pap.run(
             trace(),
-            retry=FAST,
-            faults=FaultPlan(specs=(FaultSpec(segment=1, kind="transient"),)),
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan(
+                    specs=(FaultSpec(segment=1, kind="transient"),)
+                ),
+            ),
         )
         health = result.health
         assert health["retries"] == 1
@@ -326,8 +311,10 @@ class TestProcessRecovery:
         recovered = pap.run(
             data,
             backend=pool,
-            retry=FAST,
-            faults=FaultPlan(specs=(FaultSpec(segment=1, kind="crash"),)),
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan(specs=(FaultSpec(segment=1, kind="crash"),)),
+            ),
         )
         assert fingerprint(recovered) == fingerprint(clean)
         assert recovered.health["crashes"] >= 1
@@ -345,12 +332,14 @@ class TestProcessRecovery:
         recovered = pap.run(
             data,
             backend=pool,
-            retry=FAST,
-            faults=FaultPlan(
-                specs=(
-                    FaultSpec(segment=2, kind="fiv_write"),
-                    FaultSpec(segment=3, kind="transient", times=2),
-                )
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan(
+                    specs=(
+                        FaultSpec(segment=2, kind="fiv_write"),
+                        FaultSpec(segment=3, kind="transient", times=2),
+                    )
+                ),
             ),
         )
         assert fingerprint(recovered) == fingerprint(clean)
@@ -364,8 +353,10 @@ class TestProcessRecovery:
         recovered = pap.run(
             data,
             backend=pool,
-            retry=FAST,
-            faults=FaultPlan.parse("seed=3,rate=0.4,kinds=crash+transient"),
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan.parse("seed=3,rate=0.4,kinds=crash+transient"),
+            ),
         )
         assert fingerprint(recovered) == fingerprint(clean)
         assert recovered.health["faults_injected"] > 0
@@ -382,8 +373,10 @@ class TestProcessRecovery:
                 pap.run(
                     data,
                     backend=backend,
-                    faults=FaultPlan(
-                        specs=(FaultSpec(segment=1, kind="crash"),)
+                    options=RunOptions(
+                        faults=FaultPlan(
+                            specs=(FaultSpec(segment=1, kind="crash"),)
+                        )
                     ),
                 )
             again = pap.run(data, backend=backend)
@@ -399,11 +392,13 @@ class TestProcessRecovery:
             recovered = pap.run(
                 data,
                 backend=backend,
-                retry=RetryPolicy(
-                    max_retries=2, backoff_base_s=0.0, segment_timeout_s=0.5
-                ),
-                faults=FaultPlan(
-                    specs=(FaultSpec(segment=1, kind="hang"),), hang_s=30.0
+                options=RunOptions(
+                    retry=RetryPolicy(
+                        max_retries=2, backoff_base_s=0.0, segment_timeout_s=0.5
+                    ),
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=1, kind="hang"),), hang_s=30.0
+                    ),
                 ),
             )
         assert fingerprint(recovered) == fingerprint(clean)
@@ -420,14 +415,14 @@ class TestProcessRecovery:
             result = pap.run(
                 data,
                 backend=backend,
-                retry=RetryPolicy(
-                    max_retries=8, backoff_base_s=0.0, downgrade_after=2
-                ),
-                faults=FaultPlan(
-                    specs=(
-                        FaultSpec(segment=1, kind="crash", times=9),
-                        FaultSpec(segment=2, kind="crash", times=9),
-                    )
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=8, backoff_base_s=0.0),
+                    faults=FaultPlan(
+                        specs=(
+                            FaultSpec(segment=1, kind="crash", times=9),
+                            FaultSpec(segment=2, kind="crash", times=9),
+                        )
+                    ),
                 ),
             )
         assert fingerprint(result) == fingerprint(clean)
@@ -437,17 +432,19 @@ class TestProcessRecovery:
         assert "consecutive" in health["downgrade_reason"]
 
     def test_downgrade_disabled_exhausts_instead(self):
+        """Retries that run out before the ladder's third rung fail the
+        run: degradation is a rung of the ladder, not a free retry."""
         pap = small_pap()
         with ProcessPoolBackend(workers=1) as backend:
             with pytest.raises(ExecutionError, match="retries exhausted"):
                 pap.run(
                     trace(),
                     backend=backend,
-                    retry=RetryPolicy(
-                        max_retries=2, backoff_base_s=0.0, downgrade_after=None
-                    ),
-                    faults=FaultPlan(
-                        specs=(FaultSpec(segment=1, kind="crash", times=9),)
+                    options=RunOptions(
+                        retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+                        faults=FaultPlan(
+                            specs=(FaultSpec(segment=1, kind="crash", times=9),)
+                        ),
                     ),
                 )
 
@@ -462,8 +459,10 @@ class TestBenchCycleStability:
         clean = run_benchmark(bench, **kwargs)
         chaotic = run_benchmark(
             bench,
-            retry=FAST,
-            faults=FaultPlan.parse("seed=7,rate=0.3,kinds=transient"),
+            options=RunOptions(
+                retry=FAST,
+                faults=FaultPlan.parse("seed=7,rate=0.3,kinds=transient"),
+            ),
             **kwargs,
         )
         assert chaotic.to_dict()["cycles"] == clean.to_dict()["cycles"]

@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.exec import (
     FaultPlan,
     RetryPolicy,
+    RunOptions,
     SerialBackend,
     resolve_backend,
 )
@@ -97,8 +98,10 @@ def test_vector_backend_recovers_seeded_faults_bit_exact():
     recovered = pap.run(
         data,
         backend="vector",
-        retry=FAST,
-        faults=FaultPlan.parse("seed=5,rate=0.4,kinds=transient"),
+        options=RunOptions(
+            retry=FAST,
+            faults=FaultPlan.parse("seed=5,rate=0.4,kinds=transient"),
+        ),
     )
     assert fingerprint(recovered) == fingerprint(clean)
     assert recovered.health is not None

@@ -20,7 +20,7 @@ from repro.ap.geometry import BoardGeometry
 from repro.automata.random_gen import random_ruleset_automaton
 from repro.core.config import PAPConfig
 from repro.core.pap import ParallelAutomataProcessor
-from repro.exec import FaultPlan, ProcessPoolBackend, RetryPolicy
+from repro.exec import FaultPlan, ProcessPoolBackend, RetryPolicy, RunOptions
 from repro.exec.worker import RunPayload, run_segment_task
 from repro.obs import Tracer, verify_phase_totals
 from repro.obs.remote import (
@@ -271,8 +271,10 @@ class TestMergeUnderFaults:
         result = small_pap(seed=9, observer=tracer).run(
             data,
             backend=pool,
-            retry=RetryPolicy(max_retries=3, backoff_base_s=0.0),
-            faults=FaultPlan.parse("1:crash,2:transient"),
+            options=RunOptions(
+                retry=RetryPolicy(max_retries=3, backoff_base_s=0.0),
+                faults=FaultPlan.parse("1:crash,2:transient"),
+            ),
         )
         assert result.reports == baseline.reports
         assert result.enumeration_cycles == baseline.enumeration_cycles
@@ -305,9 +307,11 @@ class TestMergeUnderFaults:
         result = pap.run(
             data,
             backend=pool,
-            retry=RetryPolicy(max_retries=4, backoff_base_s=0.0),
-            faults=FaultPlan.parse(
-                f"seed={seed},rate=0.2,kinds=transient"
+            options=RunOptions(
+                retry=RetryPolicy(max_retries=4, backoff_base_s=0.0),
+                faults=FaultPlan.parse(
+                    f"seed={seed},rate=0.2,kinds=transient"
+                ),
             ),
         )
         assert result.reports == baseline.reports

@@ -300,13 +300,6 @@ class TestEndToEnd:
         run, tracer = traced_run
         assert run.trace is tracer
 
-    def test_text_profile_renders(self, traced_run):
-        _, tracer = traced_run
-        profile = tracer.text_profile()
-        assert "PAP run profile" in profile
-        assert "segment[" in profile
-        assert "flow-spawn" in profile
-
 
 class TestSweepTracing:
     def test_sweep_runs_carry_independent_traces(self):

@@ -83,7 +83,7 @@ class TestRunCommand:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "PAP run profile" in captured.out + captured.err
+        assert "== phase profile ==" in captured.out + captured.err
 
 
 class TestTraceCommand:

@@ -19,6 +19,7 @@ from repro.automata.random_gen import random_automaton
 from repro.core.config import PAPConfig
 from repro.core.pap import ParallelAutomataProcessor
 from repro.errors import ArtifactError, ExecutionError
+from repro.exec import ProcessPoolBackend, RunOptions
 from repro.exec.faults import SVC_EXHAUSTION, TRANSIENT, FaultPlan
 from repro.exec.resilience import RetryPolicy
 from repro.obs import (
@@ -269,7 +270,7 @@ class TestCrashBundle:
         data = b"abcabcab" * 32
         # Deterministic crash on segment 1, no retries: fail-fast.
         with pytest.raises(ExecutionError):
-            pap.run(data, faults=FaultPlan.parse("1:crash"))
+            pap.run(data, options=RunOptions(faults=FaultPlan.parse("1:crash")))
         recorder.close()
         return path, recorder
 
@@ -308,6 +309,57 @@ class TestCrashBundle:
         assert failure["name"] == "ExecutionError"
         assert records[-1]["kind"] == "close"
 
+    @pytest.mark.parametrize(
+        "backend, faults, use_fiv",
+        [
+            pytest.param("serial", "1:crash*9", True, id="serial-crash"),
+            pytest.param(
+                "serial", "0:transient*9", True, id="serial-transient"
+            ),
+            pytest.param("process", "0:crash*99", True, id="process-crash"),
+            pytest.param(
+                "process", "0:crash*99", False, id="process-prefetched"
+            ),
+        ],
+    )
+    def test_every_span_begin_has_a_span_end(
+        self, tmp_path, backend, faults, use_fiv
+    ):
+        """A failed run still ends every span it began — the run span,
+        each dispatch copy, and (without the FIV) the dispatches it
+        prefetched — naming the error that ended it."""
+        path = tmp_path / "run.jsonl"
+        recorder = FlightRecorder(path=str(path))
+        automaton = random_automaton(3, num_states=8, alphabet=b"abc")
+        pap = ParallelAutomataProcessor(
+            automaton,
+            config=PAPConfig(geometry=board(4), use_fiv=use_fiv),
+            observer=recorder,
+        )
+        pool = ProcessPoolBackend(workers=2) if backend == "process" else None
+        try:
+            with pytest.raises(ExecutionError):
+                pap.run(
+                    b"abcabcab" * 32,
+                    backend=pool,
+                    options=RunOptions(
+                        retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+                        faults=FaultPlan.parse(faults),
+                    ),
+                )
+        finally:
+            if pool is not None:
+                pool.close()
+        recorder.close()
+        records = read_ledger(str(path))
+        begun = {r["span"]: r["name"] for r in records if r["kind"] == "span-begin"}
+        ended = {r["span"]: r for r in records if r["kind"] == "span-end"}
+        assert set(begun) == set(ended), sorted(
+            begun[span] for span in set(begun) - set(ended)
+        )
+        run_span = next(span for span, name in begun.items() if name == "run")
+        assert ended[run_span]["args"]["outcome"] == "ExecutionError"
+
 
 @settings(
     max_examples=10,
@@ -339,7 +391,10 @@ def test_ledger_round_trips_under_fault_injection(
     )
     # Seeded faults fire on first attempts only, so three retries
     # always recover: the run must succeed AND the ledger must hold.
-    pap.run(data, faults=plan, retry=RetryPolicy(max_retries=3))
+    pap.run(
+        data,
+        options=RunOptions(retry=RetryPolicy(max_retries=3), faults=plan),
+    )
     recorder.close()
 
     records = _strict_lines(path)

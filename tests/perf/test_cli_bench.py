@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,65 @@ class TestBenchRun:
             )
         assert excinfo.value.code == 2
         assert not out.exists()
+
+    def test_parameters_block_records_every_run_option(self, tmp_path):
+        """The artifact's ``parameters`` name the backend and every run
+        option the flags set, value for value."""
+        out = tmp_path / "x.json"
+        ckpt = str(tmp_path / "ckpt")
+        spec = "seed=7,rate=0.3,kinds=transient"
+        code = main(
+            [
+                "bench",
+                "run",
+                "--benchmarks",
+                "Ranges1",
+                "--scale",
+                "0.05",
+                "--trace-bytes",
+                "4096",
+                "--warmup",
+                "0",
+                "--repeats",
+                "1",
+                "--backend",
+                "process",
+                "--workers",
+                "2",
+                "--retries",
+                "2",
+                "--segment-timeout",
+                "30",
+                "--inject-faults",
+                spec,
+                "--checkpoint",
+                ckpt,
+                "--hedge-after",
+                "4",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["parameters"] == {
+            "scale": 0.05,
+            "seed": 0,
+            "ranks": 1,
+            "trace_bytes": 4096,
+            "modeled_bytes": 1_048_576,
+            "warmup": 0,
+            "repeats": 1,
+            "backend": "process",
+            "workers": 2,
+            "use_fiv": True,
+            "benchmarks": ["Ranges1"],
+            "retries": 2,
+            "segment_timeout_s": 30.0,
+            "faults": FaultPlan.parse(spec).to_dict(),
+            "checkpoint": ckpt,
+            "resume": False,
+            "hedge": True,
+        }
 
     def test_env_subset_selected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_ONLY", "Bro217")

@@ -67,6 +67,21 @@ class TestCommands:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
+    def test_run_rejects_resume_without_checkpoint(self, capsys):
+        code = main(
+            [
+                "run",
+                "Bro217",
+                "--scale",
+                "0.05",
+                "--trace-bytes",
+                "2048",
+                "--resume",
+            ]
+        )
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+
     def test_match(self, capsys, tmp_path):
         sample = tmp_path / "sample.bin"
         sample.write_bytes(b"xx needle xx needle")
