@@ -4,8 +4,10 @@ The PAP parallelization scheme (Section 3 of the paper) is driven by four
 structural properties of real-world NFAs, all computed here:
 
 * **symbol ranges** — for each of the 256 input symbols, the set of
-  reachable states labeled with that symbol (the candidate start states
-  of a segment whose predecessor ended at that symbol);
+  *enterable* states labeled with that symbol: states with a predecessor
+  or a start kind (the candidate start states of a segment whose
+  predecessor ended at that symbol).  Enterable is not reachable: a
+  state fed only by an unreachable island is in the range;
 * **connected components** — disconnected sub-graphs whose state spaces
   can never overlap, allowing their enumeration paths to share a flow;
 * **parent structure** — range states sharing a parent always become
@@ -14,7 +16,9 @@ structural properties of real-world NFAs, all computed here:
   the path taken (the Active State Group).
 
 :class:`AutomatonAnalysis` computes each lazily and caches against the
-automaton's version counter.
+automaton's version counter.  Which states a range may hold is one
+cached bool mask per automaton, so all 256 range sizes are one column
+sum of :meth:`AutomatonAnalysis.label_matrix` over it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class AutomatonAnalysis:
         self.automaton = automaton
         self._version = automaton.version
         self._label_matrix: np.ndarray | None = None
+        self._masks: tuple[np.ndarray, np.ndarray] | None = None
         self._component_index: list[int] | None = None
         self._components: list[frozenset[int]] | None = None
         self._always_active: frozenset[int] | None = None
@@ -73,35 +78,51 @@ class AutomatonAnalysis:
             self._label_matrix = bits.reshape(count, 256).astype(bool)
         return self._label_matrix
 
-    def enterable_states(self) -> frozenset[int]:
-        """States that can ever be in a current set: states with at least
-        one predecessor, plus start states of either kind."""
+    def enumerable_mask(self, *, at_offset_zero: bool = False) -> np.ndarray:
+        """Read-only bool mask of the states a segment boundary can
+        enumerate: states with a predecessor or an all-input start.
+
+        At the offset-0 boundary every start-of-data state is enabled
+        too, so they join the mask; that mask is exactly the *enterable*
+        states, the ones that can ever be in a current set (a
+        predecessor, or a start kind).  Both masks come from one pass
+        over edges and start kinds.
+        """
         self._check_fresh()
-        automaton = self.automaton
-        enterable = set(automaton.start_states())
-        for _, dst in automaton.edges():
-            enterable.add(dst)
-        return frozenset(enterable)
+        if self._masks is None:
+            automaton = self.automaton
+            count = len(automaton)
+            boundary = np.zeros(count, dtype=bool)
+            boundary[[dst for _, dst in automaton.edges()]] = True
+            start_of_data = np.zeros(count, dtype=bool)
+            for ste in automaton.states():
+                if ste.start is StartKind.ALL_INPUT:
+                    boundary[ste.sid] = True
+                elif ste.start is StartKind.START_OF_DATA:
+                    start_of_data[ste.sid] = True
+            enterable = boundary | start_of_data
+            boundary.flags.writeable = False
+            enterable.flags.writeable = False
+            self._masks = (boundary, enterable)
+        boundary, enterable = self._masks
+        return enterable if at_offset_zero else boundary
+
+    def label_counts(self, mask: np.ndarray) -> np.ndarray:
+        """Per symbol, how many states selected by the bool ``mask``
+        carry it in their label: one column sum of :meth:`label_matrix`,
+        counted in int64 because ranges exceed 255 states."""
+        return self.label_matrix()[mask].sum(axis=0, dtype=np.int64)
 
     def symbol_range(self, symbol: int) -> frozenset[int]:
         """The paper's *range* of ``symbol``: every enterable state whose
         label contains it (the ANML image of the transition function)."""
-        self._check_fresh()
         column = self.label_matrix()[:, symbol]
-        enterable = self.enterable_states()
-        return frozenset(
-            sid for sid in np.flatnonzero(column).tolist() if sid in enterable
-        )
+        enterable = self.enumerable_mask(at_offset_zero=True)
+        return frozenset(np.flatnonzero(column & enterable).tolist())
 
     def range_sizes(self) -> np.ndarray:
         """Array of 256 range sizes, one per symbol."""
-        self._check_fresh()
-        matrix = self.label_matrix().copy()
-        enterable = self.enterable_states()
-        blocked = [sid for sid in range(len(self.automaton)) if sid not in enterable]
-        if blocked:
-            matrix[blocked, :] = False
-        return matrix.sum(axis=0)
+        return self.label_counts(self.enumerable_mask(at_offset_zero=True))
 
     # -- connected components ----------------------------------------------
 

@@ -71,6 +71,7 @@ class CompiledAutomaton:
         "start_of_data",
         "all_input",
         "latchable",
+        "_symbols",
         "_vector_tables",
     )
 
@@ -96,10 +97,24 @@ class CompiledAutomaton:
             for ste in automaton.states()
             if ste.label.is_full() and automaton.has_self_loop(ste.sid)
         )
+        self._symbols: list[tuple[int, ...] | None] = [None] * len(self.succ)
         self._vector_tables: object | None = None
 
     def __len__(self) -> int:
         return len(self.succ)
+
+    def symbols(self, sid: int) -> tuple[int, ...]:
+        """The symbols of ``sid``'s label, ascending.
+
+        Built on first use and cached: only states whose label is
+        indexed per symbol (latch successors, persistent states) pay for
+        a tuple, and every flow after the first reuses it.
+        """
+        symbols = self._symbols[sid]
+        if symbols is None:
+            symbols = tuple(self.automaton.state(sid).label)
+            self._symbols[sid] = symbols
+        return symbols
 
     def vector_tables(self) -> "VectorTables":
         """The bit-parallel transition tables for this automaton.
@@ -212,20 +227,20 @@ class FlowExecution:
             # this list by iterating a ``state_vector()`` frozenset —
             # could reorder ``reports`` relative to the original flow.
             insort(self._latched_reports, sid)
-        automaton = compiled.automaton
+        index = self._latched_index
         for dst in compiled.succ[sid]:
             if dst in self._latched or dst in self.excluded:
                 continue
-            for symbol in automaton.state(dst).label:
-                self._latched_index[symbol].add(dst)
+            for symbol in compiled.symbols(dst):
+                index[symbol].add(dst)
 
     def _build_persistent_index(self) -> list[tuple[int, ...]]:
         table: list[list[int]] = [[] for _ in range(256)]
-        automaton = self.compiled.automaton
+        compiled = self.compiled
         for sid in self.persistent:
-            if sid in self.compiled.latchable:
+            if sid in compiled.latchable:
                 continue  # latches on its first match instead
-            for symbol in automaton.state(sid).label:
+            for symbol in compiled.symbols(sid):
                 table[symbol].append(sid)
         self._persistent_index = [tuple(row) for row in table]
         return self._persistent_index

@@ -18,6 +18,7 @@ from repro.core.ranges import (
     RangeProfile,
     choose_partition_symbol,
     enumeration_range,
+    enumeration_range_sizes,
     range_profile,
 )
 from repro.core.scheduler import (
@@ -64,6 +65,7 @@ __all__ = [
     "choose_partition_symbol",
     "compose_segment",
     "enumeration_range",
+    "enumeration_range_sizes",
     "pack_flows",
     "partition_input",
     "range_profile",

@@ -5,7 +5,9 @@ the following segment, so inputs are cut at frequently occurring symbols
 with small ranges.  The partition symbol is chosen by offline profiling:
 among symbols frequent enough to cut the input into roughly equal
 segments, pick the one with the smallest enumeration range (always-active
-states do not count — the ASG flow covers them for free).
+states do not count — the ASG flow covers them for free).  The profile is
+a fact of the automaton: :func:`enumeration_range_sizes` reads all 256
+range sizes as one column sum over the analysis's cached enumerable mask.
 """
 
 from __future__ import annotations
@@ -47,6 +49,29 @@ def range_profile(analysis: AutomatonAnalysis) -> RangeProfile:
     )
 
 
+def _enumerable(
+    analysis: AutomatonAnalysis,
+    exclude: frozenset[int],
+    boundary_at_offset_zero: bool,
+) -> np.ndarray:
+    mask = analysis.enumerable_mask(at_offset_zero=boundary_at_offset_zero)
+    if exclude:
+        mask = mask.copy()
+        mask[list(exclude)] = False
+    return mask
+
+
+def enumeration_range_sizes(
+    analysis: AutomatonAnalysis,
+    *,
+    exclude: frozenset[int] = frozenset(),
+) -> np.ndarray:
+    """``len(enumeration_range(analysis, s, exclude=exclude))`` for all
+    256 symbols ``s`` at once: one int64 column sum of the label matrix
+    over the automaton's cached enumerable mask minus ``exclude``."""
+    return analysis.label_counts(_enumerable(analysis, exclude, False))
+
+
 def enumeration_range(
     analysis: AutomatonAnalysis,
     symbol: int,
@@ -66,21 +91,9 @@ def enumeration_range(
     parentless start-of-data states are matchable there and must stay
     enumerable.
     """
-    automaton = analysis.automaton
-    candidates = analysis.symbol_range(symbol)
-    all_input = frozenset(automaton.all_input_states())
-    start_of_data = frozenset(automaton.start_of_data_states())
-    result = set()
-    for sid in candidates:
-        if sid in exclude:
-            continue
-        if not automaton.predecessors(sid):
-            persistently = sid in all_input
-            at_zero = boundary_at_offset_zero and sid in start_of_data
-            if not (persistently or at_zero):
-                continue
-        result.add(sid)
-    return frozenset(result)
+    column = analysis.label_matrix()[:, symbol]
+    mask = _enumerable(analysis, exclude, boundary_at_offset_zero)
+    return frozenset(np.flatnonzero(column & mask).tolist())
 
 
 @dataclass(frozen=True)
@@ -103,8 +116,11 @@ def choose_partition_symbol(
 
     A symbol is eligible when it occurs at least ``num_segments - 1``
     times (one cut per boundary).  Among eligible symbols the smallest
-    enumeration range wins; occurrence count breaks ties (more frequent
-    means boundaries can sit closer to the equal-size targets).
+    enumeration range wins.  Ties go to the higher occurrence count
+    (more frequent means boundaries can sit closer to the equal-size
+    targets), then to the symbol that occurs first in ``data``.  When no
+    symbol is eligible, the most frequent symbol is chosen, with the
+    same first-occurrence tie-break.
     """
     if num_segments < 1:
         raise ConfigurationError("need at least one segment")
@@ -112,11 +128,12 @@ def choose_partition_symbol(
         raise ConfigurationError("cannot profile an empty input")
     counts = Counter(data)
     needed = max(1, num_segments - 1)
+    sizes = enumeration_range_sizes(analysis, exclude=exclude)
     best: PartitionSymbolChoice | None = None
     for symbol, occurrences in counts.items():
         if occurrences < needed:
             continue
-        size = len(enumeration_range(analysis, symbol, exclude=exclude))
+        size = int(sizes[symbol])
         if (
             best is None
             or size < best.range_size
@@ -130,7 +147,7 @@ def choose_partition_symbol(
         symbol, occurrences = counts.most_common(1)[0]
         best = PartitionSymbolChoice(
             symbol=symbol,
-            range_size=len(enumeration_range(analysis, symbol, exclude=exclude)),
+            range_size=int(sizes[symbol]),
             occurrences=occurrences,
         )
     return best

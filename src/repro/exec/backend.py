@@ -114,7 +114,7 @@ from repro.exec.resilience import (
     TRACK_EXEC,
     run_with_retry,
 )
-from repro.exec.worker import RunPayload, run_segment_task
+from repro.exec.worker import RunPayload, run_segment_task, worker_ready
 from repro.host.decode import false_path_decode_cycles
 from repro.obs.phases import PHASE_COMPOSE
 from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
@@ -595,9 +595,11 @@ class ProcessPoolBackend(ExecutionBackend):
         result wins.  Both copies compute the identical pure function,
         so hedging cannot move the cycle domain.
 
-    The pool is created lazily on first use and *reused across runs* (a
-    warmup pass through :func:`repro.perf.measure.measure_wall` therefore
-    also warms the pool), so callers owning a backend instance should
+    The pool is created lazily on first use, spawns its workers and
+    runs one no-op task per worker before its first dispatch, and is
+    *reused across runs* (a warmup pass through
+    :func:`repro.perf.measure.measure_wall` therefore also warms the
+    pool), so callers owning a backend instance should
     :meth:`close` it — or use it as a context manager — when done.
 
     Recovery: a broken pool (worker crash) or a tripped per-segment
@@ -648,6 +650,20 @@ class ProcessPoolBackend(ExecutionBackend):
                 max_workers=self._dispatch_workers,
                 mp_context=multiprocessing.get_context(self._mp_context),
             )
+            # Spawn the workers and run one no-op task per worker before
+            # the first dispatch is timed, so that dispatch does not wait
+            # on a cold interpreter's imports (which every pool recycled
+            # after a timeout would otherwise re-pay inside the retry's
+            # budget).  A warm worker may answer several of these tasks
+            # while another is still importing; that one can then delay
+            # only a dispatch that finds every warm worker busy.  A
+            # worker that dies starting up raises BrokenProcessPool
+            # here, as a dispatch to it would.
+            for ready in [
+                self._executor.submit(worker_ready)
+                for _ in range(self._dispatch_workers)
+            ]:
+                ready.result()
         return self._executor
 
     def _teardown(self, *, wait: bool) -> None:

@@ -94,6 +94,12 @@ def _scheduler_for(
     return _cached_scheduler, True, 0
 
 
+def worker_ready() -> int:
+    """A no-op task: once it returns, this worker process has started
+    and imported everything :func:`run_segment_task` needs."""
+    return os.getpid()
+
+
 def run_segment_task(
     token: object,
     payload: RunPayload,

@@ -35,7 +35,7 @@ from repro.ap.placement import Placement, place_automaton
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton
 from repro.core.enumeration import EnumerationUnit, build_units
-from repro.core.ranges import enumeration_range
+from repro.core.ranges import enumeration_range, enumeration_range_sizes
 from repro.errors import ConfigurationError, PlacementError
 from repro.lint.diagnostics import Diagnostic, Severity
 
@@ -157,15 +157,10 @@ class LintContext:
         """Per-symbol enumeration-range sizes with the always-active
         group excluded — the quantity segment planning minimizes."""
         if self._enum_range_sizes is None:
-            exclude = self.path_independent
-            self._enum_range_sizes = tuple(
-                len(
-                    enumeration_range(
-                        self.analysis, symbol, exclude=exclude
-                    )
-                )
-                for symbol in range(256)
+            sizes = enumeration_range_sizes(
+                self.analysis, exclude=self.path_independent
             )
+            self._enum_range_sizes = tuple(sizes.tolist())
         return self._enum_range_sizes
 
     def best_partition_symbol(self) -> tuple[int, int]:

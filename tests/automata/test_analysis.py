@@ -6,6 +6,11 @@ from repro.automata import builder
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton, StartKind
 from repro.automata.charclass import CharClass
+from repro.core.ranges import (
+    choose_partition_symbol,
+    enumeration_range,
+    enumeration_range_sizes,
+)
 from repro.errors import AutomatonError
 
 
@@ -42,6 +47,19 @@ class TestSymbolRanges:
         builder.literal(automaton, "ab")
         analysis = AutomatonAnalysis(automaton)
         assert 0 in analysis.symbol_range(ord("a"))
+
+    def test_range_holds_enterable_not_only_reachable_states(self):
+        # island -> fed: no start state reaches either, yet ``fed`` has a
+        # predecessor, so it is enterable and in the range.
+        automaton = Automaton()
+        builder.literal(automaton, "ab")
+        island = automaton.add_state(CharClass.single("x"))
+        fed = automaton.add_state(CharClass.single("y"))
+        automaton.add_edge(island, fed)
+        analysis = AutomatonAnalysis(automaton)
+        assert fed not in analysis.reachable_states()
+        assert fed in analysis.symbol_range(ord("y"))
+        assert fed in enumeration_range(analysis, ord("y"))
 
     def test_range_sizes_matches_symbol_range(self, two_patterns):
         analysis = AutomatonAnalysis(two_patterns)
@@ -296,3 +314,22 @@ class TestStaleness:
         assert analysis.is_fresh()
         automaton.add_edge(sids[-1], sids[0])
         assert not analysis.is_fresh()
+
+    @pytest.mark.parametrize("mutation", ["state", "edge"])
+    def test_stale_enumerable_mask_rejected(self, mutation):
+        automaton = Automaton("v")
+        sids = builder.literal(automaton, "ab")
+        analysis = AutomatonAnalysis(automaton)
+        # Fill the cached masks first, so a stale read is possible.
+        enumeration_range(analysis, ord("b"))
+        choose_partition_symbol(analysis, b"abab", num_segments=2)
+        if mutation == "state":
+            automaton.add_state(CharClass.single("z"))
+        else:
+            automaton.add_edge(sids[-1], sids[0])
+        with pytest.raises(AutomatonError, match="mutated"):
+            enumeration_range(analysis, ord("b"))
+        with pytest.raises(AutomatonError, match="mutated"):
+            choose_partition_symbol(analysis, b"abab", num_segments=2)
+        with pytest.raises(AutomatonError, match="mutated"):
+            enumeration_range_sizes(analysis)
