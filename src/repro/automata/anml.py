@@ -247,18 +247,28 @@ class Automaton:
         """Disjoint union: both automata side by side, ids of ``other``
         shifted past this automaton's ids."""
         out = self.copy(name=name or f"{self.name}+{other.name}")
-        offset = len(self._states)
-        for ste in other.states():
-            out.add_state(
+        out.append(other)
+        return out
+
+    def append(self, other: "Automaton") -> None:
+        """Append ``other`` in place as a disjoint part: its states and
+        edges, in order, with ids shifted past this automaton's ids."""
+        # Every edge into a state holds that state's one id object (as
+        # compact() leaves it), so the executors' set lookups of equal
+        # ids match on identity; a fresh int per edge measurably slows
+        # them.  Iterating over copies lets an automaton append itself.
+        ids = [
+            self.add_state(
                 ste.label,
                 start=ste.start,
                 reporting=ste.reporting,
                 report_code=ste.report_code,
                 name=ste.name,
             )
-        for src, dst in other.edges():
-            out.add_edge(src + offset, dst + offset)
-        return out
+            for ste in list(other.states())
+        ]
+        for src, dst in list(other.edges()):
+            self.add_edge(ids[src], ids[dst])
 
     # -- internals ---------------------------------------------------------
 

@@ -127,8 +127,9 @@ def classes_for(text: str | bytes) -> list[CharClass]:
 
 
 def merge_all(automata: Iterable[Automaton], name: str = "union") -> Automaton:
-    """Disjoint union of any number of automata."""
+    """Disjoint union of any number of automata, built in one pass:
+    each part is appended in place, so no state is copied twice."""
     result = Automaton(name=name)
     for automaton in automata:
-        result = result.union(automaton, name=name)
+        result.append(automaton)
     return result

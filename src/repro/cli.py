@@ -4,19 +4,16 @@
 
 * ``list`` — the 19 evaluation benchmarks and their Table 1 rows;
 * ``run`` — one benchmark end to end (baseline vs. PAP) with metrics,
-  optionally recording a Chrome trace (``--trace``), the verified
-  phase profile (``--profile``), and machine-readable output
-  (``--format json``);
-* ``trace`` — record a run's trace to Perfetto-loadable JSON, or
-  validate/summarize an existing trace file;
-* ``profile`` — phase-attribution profile of one run: where the cycles
-  (and wall time) go, verified to sum exactly to the run's totals,
-  with collapsed-stack and speedscope exports;
+  optionally explained by a Chrome trace (``--trace``) and by the
+  verified phase profile (``--profile``) with its speedscope and
+  collapsed-stack exports (``--speedscope``, ``--folded``);
 * ``bench`` — benchmark artifacts and regression gating: ``run``
   captures a ``BENCH_*.json``, ``compare`` diffs two artifacts under
   the dual-domain tolerance policy, ``report`` renders one;
-* ``obs`` — run telemetry: validate/summarize flight-recorder ledgers
-  and OpenMetrics exports, export a ledger's metrics, diff two runs;
+* ``obs`` — the one reader of run artifacts: ``summary`` validates and
+  summarizes a ledger, an OpenMetrics export, a Chrome trace or a
+  speedscope profile; ``export`` renders a ledger's metrics; ``diff``
+  compares two runs' metrics;
 * ``chaos`` — seeded fault-matrix sweep (crash / hang / transient /
   straggler / corrupt_checkpoint × segment coordinates) over one
   workload, printing a recovery table; exits 1 on any recovery that
@@ -255,6 +252,19 @@ def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
     return resolve_backend(args.backend, workers=args.workers, hedge=hedge)
 
 
+def _add_workload(parser: argparse.ArgumentParser) -> None:
+    """Board and input flags shared by ``run``, ``bench run`` and
+    ``analyze``."""
+    parser.add_argument("--ranks", type=int, default=1, choices=(1, 2, 4))
+    parser.add_argument("--trace-bytes", type=int, default=65_536)
+    parser.add_argument(
+        "--model-input",
+        choices=tuple(PAPER_BYTES),
+        default="1MB",
+        help="paper input size the trace stands in for",
+    )
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
@@ -288,8 +298,8 @@ def _run_summary(run, bench, args) -> dict:
         "states": bench.automaton.num_states,
         "trace_bytes": run.trace_bytes,
         "ranks": run.ranks,
-        "backend": getattr(args, "backend", "serial"),
-        "use_fiv": not getattr(args, "no_fiv", False),
+        "backend": args.backend,
+        "use_fiv": not args.no_fiv,
         "segments": pap.num_segments,
         "baseline_cycles": run.baseline.total_cycles,
         "pap_cycles": pap.total_cycles,
@@ -461,7 +471,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     summary = _run_summary(run, bench, args)
     if drift is not None:
         summary["drift"] = [diag.to_dict() for diag in drift]
+    phases = run.pap.phases
+    # Every phase output comes from a summary whose accounting
+    # identities hold: a profile whose rows don't sum to the run is
+    # worse than none.
+    check = (
+        verify_phase_totals(run.pap)
+        if args.profile or args.speedscope or args.folded
+        else None
+    )
     if args.format == "json":
+        if args.profile:
+            summary["phases"] = dict(phases, verified=check)
         print(json.dumps(summary, indent=2))
     else:
         _print_run_text(summary)
@@ -495,11 +516,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(run {tracer.run_id}, {tracer.num_records} records)",
             file=out_stream,
         )
-    if args.profile:
-        # With JSON output the profile goes to stderr so stdout stays
-        # machine-readable.
-        verify_phase_totals(run.pap)
-        print(render_phase_profile(run.pap.phases), file=out_stream)
+    if args.speedscope:
+        payload = to_speedscope(phases, name=f"{run.name} phase profile")
+        validate_speedscope(payload)
+        with open(args.speedscope, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+        print(
+            f"profile written  : {args.speedscope} (open in speedscope.app)",
+            file=out_stream,
+        )
+    if args.folded:
+        with open(args.folded, "w", encoding="utf-8") as handle:
+            handle.write(to_folded(phases, root=run.name))
+        print(
+            f"folded written   : {args.folded} (collapsed-stack format)",
+            file=out_stream,
+        )
+    if check is not None and args.profile and args.format == "text":
+        print(render_phase_profile(phases))
+        print(
+            f"accounting       : {check['checks']} identities verified "
+            f"across {check['segments']} segment(s), "
+            f"{check['accounted_cycles']} cycles accounted"
+        )
     return 0 if run.reports_match else 1
 
 
@@ -647,135 +686,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.validate:
-        try:
-            with open(args.target, "r", encoding="utf-8") as handle:
-                trace = json.load(handle)
-            payload = validate_chrome_trace(trace)
-        except (OSError, ValueError) as error:
-            print(f"invalid trace {args.target!r}: {error}")
-            return 1
-        tracks = {
-            record["tid"] for record in payload if "tid" in record
-        }
-        print(
-            f"{args.target}: valid Chrome trace-event JSON "
-            f"({len(payload)} events on {len(tracks)} track(s), "
-            f"domain {trace.get('otherData', {}).get('domain', '?')})"
-        )
-        return 0
-    if args.target not in BENCHMARK_NAMES:
-        raise SystemExit(
-            f"unknown benchmark {args.target!r} (see `repro list`); "
-            "to check an existing trace file use --validate"
-        )
-    bench = build_benchmark(args.target, scale=args.scale, seed=args.seed)
-    tracer = Tracer()
-    run = run_benchmark(
-        bench,
-        ranks=args.ranks,
-        trace_bytes=args.trace_bytes,
-        trace_seed=args.seed + 1,
-        observer=tracer,
-    )
-    output = args.output or f"{args.target}.trace.json"
-    tracer.write_chrome(output, domain=args.domain)
-    print(
-        f"{run.name}: {len(tracer.events)} trace events "
-        f"across {len(tracer.tracks())} tracks -> {output} "
-        f"({args.domain} domain, open in ui.perfetto.dev)"
-    )
-    if args.profile:
-        verify_phase_totals(run.pap)
-        print(render_phase_profile(run.pap.phases))
-    return 0 if run.reports_match else 1
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.validate:
-        try:
-            with open(args.target, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            validate_speedscope(payload)
-        except (OSError, ValueError) as error:
-            print(f"invalid profile {args.target!r}: {error}")
-            return 1
-        profiles = payload.get("profiles", [])
-        events = sum(len(p.get("events", [])) for p in profiles)
-        print(
-            f"{args.target}: valid speedscope profile "
-            f"({len(profiles)} profile(s), {events} events, "
-            f"{len(payload['shared']['frames'])} frames)"
-        )
-        return 0
-    if args.target not in BENCHMARK_NAMES:
-        raise SystemExit(
-            f"unknown benchmark {args.target!r} (see `repro list`); "
-            "to check an existing speedscope file use --validate"
-        )
-    bench = build_benchmark(args.target, scale=args.scale, seed=args.seed)
-    config = (
-        replace(DEFAULT_CONFIG, use_fiv=False)
-        if args.no_fiv
-        else DEFAULT_CONFIG
-    )
-    try:
-        backend = resolve_backend(args.backend, workers=args.workers)
-    except ConfigurationError as error:
-        print(f"repro profile: {error}", file=sys.stderr)
-        return 2
-    # A tracer enables the wall-phase accumulator, so the table carries
-    # host time alongside the exact cycle attribution.
-    tracer = Tracer()
-    try:
-        run = run_benchmark(
-            bench,
-            ranks=args.ranks,
-            trace_bytes=args.trace_bytes,
-            modeled_bytes=PAPER_BYTES.get(args.model_input),
-            trace_seed=args.seed + 1,
-            config=config,
-            observer=tracer,
-            backend=backend,
-        )
-    finally:
-        backend.close()
-    # The accounting identities are checked on every invocation — a
-    # profile whose rows don't sum to the run is worse than none.
-    check = verify_phase_totals(run.pap)
-    phases = run.pap.phases
-    out_stream = sys.stderr if args.format == "json" else sys.stdout
-    if args.format == "json":
-        print(json.dumps({"benchmark": run.name, **phases}, indent=2))
-    else:
-        print(f"benchmark        : {run.name} (scale {args.scale})")
-        print(render_phase_profile(phases, per_segment=not args.totals_only))
-        print(
-            f"accounting       : {check['checks']} identities verified "
-            f"across {check['segments']} segment(s), "
-            f"{check['accounted_cycles']} cycles accounted"
-        )
-    if args.speedscope:
-        payload = to_speedscope(phases, name=f"{run.name} phase profile")
-        validate_speedscope(payload)
-        with open(args.speedscope, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(
-            f"profile written  : {args.speedscope} "
-            "(open in speedscope.app)",
-            file=out_stream,
-        )
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(to_folded(phases, root=run.name))
-        print(
-            f"folded written   : {args.folded} (collapsed-stack format)",
-            file=out_stream,
-        )
-    return 0 if run.reports_match else 1
-
-
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     try:
         names = select_benchmarks(args.benchmarks)
@@ -893,8 +803,49 @@ def _obs_load_samples(path: str) -> dict[str, float]:
         raise ArtifactError(f"{path}: {error}") from error
 
 
+def _json_artifact_summary(text: str) -> tuple[str, dict] | None:
+    """The kind and counts of a Chrome trace or a speedscope profile,
+    told apart by their top-level keys and validated (``ValueError`` if
+    invalid); ``None`` for other artifacts (a ledger is JSON Lines, so
+    it does not parse as one document)."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict):
+        return None
+    if "traceEvents" in payload:
+        events = validate_chrome_trace(payload)
+        return "Chrome trace-event JSON", {
+            "events": len(events),
+            "tracks": len({event["tid"] for event in events if "tid" in event}),
+            "domain": payload.get("otherData", {}).get("domain", "?"),
+        }
+    if "profiles" in payload:
+        validate_speedscope(payload)
+        profiles = payload["profiles"]
+        return "speedscope profile", {
+            "profiles": len(profiles),
+            "events": sum(len(p.get("events", [])) for p in profiles),
+            "frames": len(payload["shared"]["frames"]),
+        }
+    return None
+
+
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
     text = _obs_read_text(args.target)
+    try:
+        artifact = _json_artifact_summary(text)
+    except ValueError as error:
+        raise ArtifactError(f"invalid {args.target!r}: {error}") from error
+    if artifact is not None:
+        kind, counts = artifact
+        if args.format == "json":
+            print(json.dumps({"format": kind, **counts}, indent=2))
+        else:
+            details = ", ".join(f"{value} {key}" for key, value in counts.items())
+            print(f"{args.target}: valid {kind} ({details})")
+        return 0
     if text.lstrip().startswith("{"):
         records = read_ledger(args.target)
         summary = summarize_ledger(records)
@@ -1221,14 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run one benchmark")
     run_parser.add_argument("benchmark", choices=BENCHMARK_NAMES)
-    run_parser.add_argument("--ranks", type=int, default=1, choices=(1, 2, 4))
-    run_parser.add_argument("--trace-bytes", type=int, default=65_536)
-    run_parser.add_argument(
-        "--model-input",
-        choices=("1MB", "10MB"),
-        default="1MB",
-        help="paper input size the trace stands in for",
-    )
+    _add_workload(run_parser)
     run_parser.add_argument(
         "--format",
         choices=("text", "json"),
@@ -1250,9 +1194,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print the verified phase profile (as `repro profile` does) "
-            "after the summary"
+            "print the verified phase profile (cycle and wall time per "
+            "phase and segment) after the summary; with --format json it "
+            "is the summary's \"phases\" field"
         ),
+    )
+    run_parser.add_argument(
+        "--speedscope",
+        metavar="PATH",
+        help="write the verified cycle attribution as a speedscope profile",
+    )
+    run_parser.add_argument(
+        "--folded",
+        metavar="PATH",
+        help="write the verified cycle attribution as collapsed stacks",
     )
     run_parser.add_argument(
         "--ledger",
@@ -1386,99 +1341,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(chaos_parser)
 
-    trace_parser = commands.add_parser(
-        "trace",
-        help="record or validate a PAP execution trace",
-        description=(
-            "Run one benchmark under the repro.obs tracer and write "
-            "Chrome trace-event JSON (loadable in ui.perfetto.dev), "
-            "or validate an existing trace file with --validate."
-        ),
-    )
-    trace_parser.add_argument(
-        "target", help="benchmark name, or a trace .json with --validate"
-    )
-    trace_parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="treat TARGET as a trace file and check its shape",
-    )
-    trace_parser.add_argument(
-        "-o", "--output", help="trace path (default <benchmark>.trace.json)"
-    )
-    trace_parser.add_argument(
-        "--domain",
-        choices=("cycles", "wall"),
-        default="cycles",
-        help="time domain of the exported trace",
-    )
-    trace_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print the verified phase profile",
-    )
-    trace_parser.add_argument(
-        "--ranks", type=int, default=1, choices=(1, 2, 4)
-    )
-    trace_parser.add_argument("--trace-bytes", type=int, default=65_536)
-    _add_common(trace_parser)
-
-    profile_parser = commands.add_parser(
-        "profile",
-        help="phase-attribution profile of one run (repro.obs.phases)",
-        description=(
-            "Run one benchmark and attribute its cost to execution "
-            "phases (transition / switch / convergence / decode / "
-            "report) in both the cycle and wall domains. Cycle rows "
-            "are verified to sum exactly to the run's totals before "
-            "anything is printed. Exports: --speedscope (open in "
-            "speedscope.app) and --folded (flamegraph collapsed-stack "
-            "format); --validate checks an existing speedscope file."
-        ),
-    )
-    profile_parser.add_argument(
-        "target",
-        help="benchmark name, or a speedscope .json with --validate",
-    )
-    profile_parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="treat TARGET as a speedscope file and check its shape",
-    )
-    profile_parser.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="phase summary output format",
-    )
-    profile_parser.add_argument(
-        "--totals-only",
-        action="store_true",
-        help="omit the per-segment rows from the table",
-    )
-    profile_parser.add_argument(
-        "--speedscope",
-        metavar="PATH",
-        help="write the cycle attribution as a speedscope JSON profile",
-    )
-    profile_parser.add_argument(
-        "--folded",
-        metavar="PATH",
-        help="write the cycle attribution as collapsed stacks",
-    )
-    profile_parser.add_argument(
-        "--ranks", type=int, default=1, choices=(1, 2, 4)
-    )
-    profile_parser.add_argument("--trace-bytes", type=int, default=65_536)
-    profile_parser.add_argument(
-        "--model-input",
-        choices=("1MB", "10MB"),
-        default="1MB",
-        help="paper input size the trace stands in for",
-    )
-    _add_backend(profile_parser)
-    _add_common(profile_parser)
-
     bench_parser = commands.add_parser(
         "bench",
         help="benchmark artifacts and regression gating (repro.perf)",
@@ -1504,14 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
             "else the full suite)"
         ),
     )
-    bench_run.add_argument("--ranks", type=int, default=1, choices=(1, 2, 4))
-    bench_run.add_argument("--trace-bytes", type=int, default=65_536)
-    bench_run.add_argument(
-        "--model-input",
-        choices=("1MB", "10MB"),
-        default="1MB",
-        help="paper input size the trace stands in for",
-    )
+    _add_workload(bench_run)
     bench_run.add_argument(
         "--warmup", type=int, default=1, help="unrecorded warmup passes"
     )
@@ -1569,24 +1424,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_parser = commands.add_parser(
         "obs",
-        help="inspect run telemetry: ledgers and metric exports",
+        help="read run artifacts: ledgers, metrics, traces, profiles",
         description=(
-            "Work with repro.obs.telemetry artifacts: summarize and "
-            "validate JSONL run ledgers or OpenMetrics expositions, "
-            "export a ledger's metrics snapshot, and diff two metric "
-            "sets. Exit codes: 0 clean/identical, 1 invalid artifact "
-            "or differences, 2 usage."
+            "Work with the artifacts `repro run` writes: validate and "
+            "summarize JSONL run ledgers, OpenMetrics expositions, "
+            "Chrome traces or speedscope profiles, export a ledger's "
+            "metrics snapshot, and diff two metric sets. Exit codes: 0 "
+            "clean/identical, 1 invalid artifact or differences, 2 usage."
         ),
     )
     obs_commands = obs_parser.add_subparsers(
         dest="obs_command", required=True
     )
     obs_summary = obs_commands.add_parser(
-        "summary",
-        help="validate + summarize a ledger or OpenMetrics file",
+        "summary", help="validate + summarize one run artifact"
     )
     obs_summary.add_argument(
-        "target", help="a JSONL ledger or an OpenMetrics .prom file"
+        "target",
+        help="a JSONL ledger, OpenMetrics file, Chrome trace or speedscope",
     )
     obs_summary.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -1699,16 +1554,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="analyze every bundled benchmark",
     )
-    analyze_parser.add_argument(
-        "--ranks", type=int, default=1, choices=(1, 2, 4)
-    )
-    analyze_parser.add_argument("--trace-bytes", type=int, default=65_536)
-    analyze_parser.add_argument(
-        "--model-input",
-        choices=("1MB", "10MB"),
-        default="1MB",
-        help="paper input size the trace stands in for",
-    )
+    _add_workload(analyze_parser)
     analyze_parser.add_argument(
         "--no-trials",
         action="store_true",
@@ -1765,8 +1611,6 @@ _HANDLERS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "chaos": _cmd_chaos,
-    "trace": _cmd_trace,
-    "profile": _cmd_profile,
     "bench": _cmd_bench,
     "obs": _cmd_obs,
     "match": _cmd_match,

@@ -262,11 +262,15 @@ def _admit(
     health: RunHealth,
     plans: tuple[SegmentPlan, ...],
     data: bytes,
+    *,
+    all_in_flight: bool,
 ) -> int | None:
     """The admission guard's in-flight bound; raises if it refuses."""
     if ctx.options.admission is None:
         return None
-    decision = ctx.options.admission.check(plans, input_bytes=len(data))
+    decision = ctx.options.admission.check(
+        plans, input_bytes=len(data), all_in_flight=all_in_flight
+    )
     health.admission = decision.to_dict()
     if ctx.observer.enabled:
         ctx.observer.instant(
@@ -352,7 +356,9 @@ class ExecutionBackend:
         checkpoint: CheckpointRun | None = None
         failure: Exception | None = None
         try:
-            max_inflight = _admit(ctx, health, plans, data)
+            max_inflight = _admit(
+                ctx, health, plans, data, all_in_flight=self._prefetches(ctx)
+            )
             checkpoint = _open_checkpoint(ctx, health, plans, data)
             ctx = replace(
                 ctx,
@@ -434,6 +440,11 @@ class ExecutionBackend:
         """This run's attempt function, built once per run, as a
         context manager whose exit releases any per-run dispatches."""
         raise NotImplementedError
+
+    def _prefetches(self, ctx: ExecutionContext) -> bool:
+        """Whether this run dispatches every segment at once (so the
+        admission guard prices them all) instead of one at a time."""
+        return False
 
     def _attempt_failed(
         self, ctx: ExecutionContext, plan: SegmentPlan, error: BaseException
@@ -671,11 +682,21 @@ class ProcessPoolBackend(ExecutionBackend):
 
         ``wait=False`` is mandatory on breakage/timeout paths: a broken
         or hung pool may never join, and a blocking shutdown would turn
-        one lost worker into a lost run.
+        one lost worker into a lost run.  Its workers are terminated
+        instead, so a hung one cannot outlive the pool and hold the
+        interpreter's exit, which joins every worker.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=True)
-            self._executor = None
+        if self._executor is None:
+            return
+        # Python 3.14 spells this ProcessPoolExecutor.terminate_workers();
+        # before that the private pid -> process map is the only handle
+        # on the workers, and shutdown() drops it, so it is copied first.
+        processes = list((self._executor._processes or {}).values())
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self._executor = None
+        if not wait:
+            for process in processes:
+                process.terminate()  # a no-op on one that has exited
 
     def close(self) -> None:
         """Shut the pool down and reset the failure ladder: the next run
@@ -761,6 +782,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- dispatch ---------------------------------------------------------
 
+    def _prefetches(self, ctx: ExecutionContext) -> bool:
+        return not ctx.config.use_fiv and self._degraded is None
+
     @contextmanager
     def _attempts(
         self,
@@ -801,7 +825,7 @@ class ProcessPoolBackend(ExecutionBackend):
         unsent = {
             plan.segment.index: plan
             for plan in plans
-            if not ctx.config.use_fiv
+            if self._prefetches(ctx)
             and (ctx.checkpoint is None or not ctx.checkpoint.has(plan))
         }
 

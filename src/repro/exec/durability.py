@@ -512,11 +512,14 @@ class AdmissionPolicy:
     The prediction uses the plan's *exact* per-segment flow counts (the
     same quantities ``repro.analyze``'s cost model predicts ahead of
     planning): each in-flight segment holds its flows' state vectors
-    plus its input slice, and the no-FIV process path holds every
-    segment in flight at once.  ``mode="chunk"`` converts an over-budget
-    prediction into a bound on concurrently in-flight segments (the
-    input is never split further — cross-boundary matches make input
-    chunking semantically unsound); ``mode="refuse"`` raises instead.
+    plus its input slice.  The no-FIV process path holds every segment
+    in flight at once; every other run holds one at a time.  On the
+    no-FIV path, ``mode="chunk"`` converts an over-budget prediction
+    into a bound on concurrently in-flight segments (the input is never
+    split further — cross-boundary matches make input chunking
+    semantically unsound); ``mode="refuse"`` raises instead.  A run
+    whose input plus largest segment exceeds the budget is refused in
+    either mode.
     """
 
     memory_budget_bytes: int | None = None
@@ -539,12 +542,20 @@ class AdmissionPolicy:
         return flows * BYTES_PER_FLOW + plan.segment.length
 
     def check(
-        self, plans: Sequence[SegmentPlan], *, input_bytes: int
+        self,
+        plans: Sequence[SegmentPlan],
+        *,
+        input_bytes: int,
+        all_in_flight: bool = False,
     ) -> AdmissionDecision:
+        """The verdict on ``plans``; ``all_in_flight`` says the run
+        holds every segment at once rather than one at a time."""
         budget = self.memory_budget_bytes
         per_segment = [self.segment_bytes(plan) for plan in plans]
         max_segment = max(per_segment, default=0)
-        peak = input_bytes + sum(per_segment)
+        peak = input_bytes + (
+            sum(per_segment) if all_in_flight else max_segment
+        )
         if budget is None or peak <= budget:
             return AdmissionDecision(
                 action="admit",

@@ -339,7 +339,7 @@ def _share(value: int, total: int) -> str:
     return f"{100.0 * value / total:5.1f}%"
 
 
-def render_phase_profile(summary: dict, *, per_segment: bool = True) -> str:
+def render_phase_profile(summary: dict) -> str:
     """Human-readable phase table for one run's phase summary."""
     cycles = summary["cycles"]
     accounted = summary["accounted_cycles"]
@@ -373,7 +373,7 @@ def render_phase_profile(summary: dict, *, per_segment: bool = True) -> str:
         f"total={summary['total_cycles']} "
         f"hot={summary['hot_phase']}"
     )
-    if per_segment and summary["per_segment"]:
+    if summary["per_segment"]:
         lines.append("")
         lines.append(
             f"{'seg':>4} {'kind':<10} {'transition':>12} {'switch':>12} "

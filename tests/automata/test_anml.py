@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automata.anml import Automaton, StartKind
+from repro.automata.builder import merge_all
 from repro.automata.charclass import CharClass
 from repro.errors import AutomatonError
 
@@ -142,6 +143,37 @@ class TestTransforms:
     def test_union_preserves_start_kinds(self, simple):
         both = simple.union(simple)
         assert set(both.start_of_data_states()) == {0, 3}
+
+    def test_append_to_itself_doubles_once(self, simple):
+        simple.append(simple)
+        assert sorted(simple.edges()) == [(0, 1), (1, 2), (3, 4), (4, 5)]
+        assert simple.reporting_states() == (2, 5)
+
+    def test_merge_all_copies_each_state_once(self, simple, monkeypatch):
+        """Merging N parts adds each state once (a fold of ``union``
+        re-copies the accumulated automaton per part), matches that fold
+        state for state and edge for edge, and every edge into a state
+        holds the state's own id object (ids past the small-int cache)."""
+        parts = [simple.union(simple, name=f"p{i}") for i in range(50)]
+        folded = Automaton(name="all")
+        for part in parts:
+            folded = folded.union(part, name="all")
+        calls = []
+        add_state = Automaton.add_state
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return add_state(self, *args, **kwargs)
+
+        monkeypatch.setattr(Automaton, "add_state", counting)
+        merged = merge_all(parts, name="all")
+        assert len(calls) == merged.num_states == 300
+        assert merged.name == folded.name
+        assert list(merged.states()) == list(folded.states())
+        assert [merged.successors(s) for s in range(300)] == [
+            folded.successors(s) for s in range(300)
+        ]
+        assert all(dst is merged.state(dst).sid for _, dst in merged.edges())
 
     def test_repr_mentions_size(self, simple):
         assert "states=3" in repr(simple)

@@ -21,7 +21,7 @@ from repro.automata.vector import (
     VectorFlowExecution,
     VectorTables,
 )
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import build_benchmark
 
 
 def assert_twin(label, set_flow, vec_flow):
@@ -120,7 +120,7 @@ class TestVectorEquivalence:
         "name", ["Levenshtein", "Bro217", "EntityResolution"]
     )
     def test_suite_workloads_bit_identical(self, name):
-        inst = {i.name: i for i in build_suite()}[name]
+        inst = build_benchmark(name, scale=0.25, seed=0)
         compiled = CompiledAutomaton(inst.automaton)
         data = inst.trace(2048, 7)
         set_flow, vec_flow = FlowExecution(compiled), VectorFlowExecution(compiled)

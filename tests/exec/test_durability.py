@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -676,10 +677,39 @@ class TestAdmission:
                 ),
             )
 
-    def test_chunk_mode_bounds_inflight_and_stays_bit_exact(
-        self, workload, cold, pool
-    ):
+    def test_one_segment_at_a_time_priced_as_such(self, workload, cold, pool):
+        """In-process runs and FIV pool runs hold one segment at a time:
+        a budget that fits the input plus the largest segment admits
+        them, even in refuse mode, though every segment at once would
+        not fit."""
         pap, data = workload
+        probe = pap.run(
+            data,
+            options=RunOptions(
+                admission=AdmissionPolicy(memory_budget_bytes=10**12)
+            ),
+        )
+        budget = len(data) + probe.health["admission"]["max_segment_bytes"]
+        options = RunOptions(
+            admission=AdmissionPolicy(memory_budget_bytes=budget, mode="refuse")
+        )
+        for backend in ("serial", pool):
+            result = pap.run(data, backend=backend, options=options)
+            admission = result.health["admission"]
+            assert admission["action"] == "admit"
+            assert admission["predicted_peak_bytes"] == budget
+            assert cycle_fingerprint(result) == cold
+
+    def test_chunk_mode_bounds_inflight_and_stays_bit_exact(
+        self, workload, pool
+    ):
+        """Only the no-FIV pool path prefetches every segment, so only
+        there does a chunk bound apply."""
+        automaton, data = workload[0].automaton, workload[1]
+        pap = ParallelAutomataProcessor(
+            automaton, config=replace(DEFAULT_CONFIG, use_fiv=False)
+        )
+        cold = cycle_fingerprint(pap.run(data))
         result = pap.run(
             data,
             backend=pool,

@@ -9,7 +9,9 @@ it sit the policy unit tests (retry budget, backoff), the
 health accounting, and the pool-rebuild regression for crashed worker
 pools."""
 
+import multiprocessing
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -384,10 +386,14 @@ class TestProcessRecovery:
 
     def test_hang_trips_segment_timeout(self):
         """An injected hang exceeds the dispatch timeout: the pool is
-        recycled, the retry succeeds, and the timeout is recorded."""
+        recycled, the retry succeeds, and the timeout is recorded.  The
+        hung worker is terminated with its pool, so only the rebuilt
+        pool's worker is left running (a live one would hold the
+        interpreter's exit for the whole 30 s hang)."""
         pap = small_pap()
         data = trace()
         clean = pap.run(data)
+        before = {child.pid for child in multiprocessing.active_children()}
         with ProcessPoolBackend(workers=1) as backend:
             recovered = pap.run(
                 data,
@@ -401,6 +407,17 @@ class TestProcessRecovery:
                     ),
                 ),
             )
+            deadline = time.monotonic() + 5.0
+            while True:
+                started = {
+                    child.pid for child in multiprocessing.active_children()
+                } - before
+                if len(started) <= backend.workers:
+                    break
+                assert time.monotonic() < deadline, (
+                    f"{len(started)} workers alive after the timeout"
+                )
+                time.sleep(0.05)
         assert fingerprint(recovered) == fingerprint(clean)
         assert recovered.health["timeouts"] >= 1
 

@@ -30,7 +30,7 @@ from repro.exec import (
     resolve_backend,
 )
 from repro.sim.runner import run_benchmark
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import build_benchmark
 
 from tests.exec.test_backend import board, fingerprint
 
@@ -111,7 +111,7 @@ def test_vector_backend_recovers_seeded_faults_bit_exact():
 def test_bench_cycle_payload_identical_on_suite_workload():
     """BENCH artifacts gate on the cycle payload; it must be
     byte-identical across strategies on a real suite workload."""
-    inst = {i.name: i for i in build_suite()}["Bro217"]
+    inst = build_benchmark("Bro217", scale=0.25, seed=0)
     serial = run_benchmark(inst, trace_bytes=4096, backend="serial")
     vector = run_benchmark(inst, trace_bytes=4096, backend="vector")
     assert vector.to_dict() == serial.to_dict()

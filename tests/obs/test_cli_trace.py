@@ -1,5 +1,5 @@
-"""CLI surface for observability: --trace/--profile/--format json and
-the ``repro trace`` subcommand."""
+"""CLI surface for observability: --trace/--profile/--format json on
+``repro run``, and Chrome traces read back by ``repro obs summary``."""
 
 import json
 
@@ -22,16 +22,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "Bro217", "--format", "xml"])
 
-    def test_trace_subcommand_defaults(self):
-        args = build_parser().parse_args(["trace", "Bro217"])
-        assert args.target == "Bro217"
-        assert args.output is None
-        assert not args.validate
-
     def test_trace_domain_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["trace", "Bro217", "--domain", "stardate"]
+                ["run", "Bro217", "--trace-domain", "stardate"]
             )
 
 
@@ -45,6 +39,7 @@ class TestRunCommand:
         assert summary["reports_match"] is True
         assert "svc" in summary and summary["svc"]["saves"] >= 0
         assert "event_amplification" in summary
+        assert "phases" not in summary
 
     def test_trace_flag_writes_valid_chrome_json(self, capsys, tmp_path):
         path = tmp_path / "run.trace.json"
@@ -83,37 +78,43 @@ class TestRunCommand:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "== phase profile ==" in captured.out + captured.err
+        assert "== phase profile ==" in captured.out
 
 
 class TestTraceCommand:
+    """A trace written by ``run --trace`` validates in ``obs summary``."""
+
     def test_trace_writes_and_validates(self, capsys, tmp_path):
         path = tmp_path / "bench.trace.json"
         code = main(
             [
-                "trace",
+                "run",
                 "Bro217",
                 "--scale",
                 "0.05",
                 "--trace-bytes",
                 "4096",
-                "-o",
+                "--trace",
                 str(path),
+                "--trace-domain",
+                "wall",
             ]
         )
         assert code == 0
-        assert path.exists()
         capsys.readouterr()
 
-        assert main(["trace", str(path), "--validate"]) == 0
+        assert main(["obs", "summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "valid Chrome trace-event JSON" in out
+        assert "wall domain" in out
+        assert main(["obs", "summary", str(path), "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["format"] == "Chrome trace-event JSON"
+        assert summary["events"] > 0 and summary["tracks"] > 0
+        assert summary["domain"] == "wall"
 
     def test_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"traceEvents": [{"name": "x"}]}))
-        assert main(["trace", str(bad), "--validate"]) != 0
-
-    def test_unknown_target_fails(self):
-        with pytest.raises(SystemExit):
-            main(["trace", "NotABenchmark"])
+        assert main(["obs", "summary", str(bad)]) == 1
+        assert "invalid" in capsys.readouterr().err

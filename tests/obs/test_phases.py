@@ -179,12 +179,6 @@ class TestRenderers:
         assert "hot=" in text
         assert "enumerated" in text  # per-segment rows present
 
-    def test_totals_only_drops_segment_rows(self, snort_run):
-        text = render_phase_profile(
-            snort_run.pap.phases, per_segment=False
-        )
-        assert "enumerated" not in text
-
     def test_folded_lines_parse_and_cover_segment_cycles(self, snort_run):
         phases = snort_run.pap.phases
         total = 0
