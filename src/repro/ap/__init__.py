@@ -1,5 +1,7 @@
-"""Automata Processor hardware model: geometry, devices, flows, timing,
-placement, and the sequential baseline."""
+"""Automata Processor hardware model: geometry, devices, the state-vector
+cache (slot occupancy and traffic; the flows themselves are run by
+:mod:`repro.core.scheduler`), multi-stream tenancy, timing, placement,
+and the sequential baseline."""
 
 from repro.ap.counters import (
     BooleanElement,
@@ -10,7 +12,6 @@ from repro.ap.counters import (
 )
 from repro.ap.device import Board, Device, HalfCore
 from repro.ap.events import OutputEvent, OutputEventBuffer
-from repro.ap.flows import ApFlow
 from repro.ap.tenancy import MultiStreamScheduler, StreamJob, TenancyResult
 from repro.ap.geometry import (
     FOUR_RANKS,
@@ -23,12 +24,11 @@ from repro.ap.geometry import (
 from repro.ap.placement import Placement, place_automaton, segments_available
 from repro.ap.routing import RoutingMatrix
 from repro.ap.sequential import BaselineResult, run_sequential
-from repro.ap.state_vector import StateVector, StateVectorCache
+from repro.ap.state_vector import StateVectorCache
 from repro.ap.ste import SteArray, SteColumn
 from repro.ap.timing import DEFAULT_TIMING, SYMBOL_CYCLE_NS, TimingModel
 
 __all__ = [
-    "ApFlow",
     "BaselineResult",
     "Board",
     "BoardGeometry",
@@ -53,7 +53,6 @@ __all__ = [
     "STATE_VECTOR_CACHE_ENTRIES",
     "STES_PER_HALF_CORE",
     "SYMBOL_CYCLE_NS",
-    "StateVector",
     "StateVectorCache",
     "SteArray",
     "SteColumn",

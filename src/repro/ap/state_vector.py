@@ -1,55 +1,34 @@
-"""State vectors and the state-vector cache.
+"""The state-vector cache: slot occupancy and traffic.
 
 A state vector snapshots one flow's execution: the active-state mask of
 every block plus counter values — 59,936 bits on the D480.  The cache
 holds up to 512 vectors per device and is what makes AP flows cheap to
 switch (save + fetch + load = 3 cycles).
 
-The paper's Section 3.3.3 augments the cache with a bitwise comparator
-(one XOR per state bit into a wired AND) so convergence between two
-flows is a one-cycle vector comparison, and Section 3.3.4 reuses it to
-compare against the zero mask for deactivation.  Both operations are
-modeled here and *counted* so the scheduler can report check volumes.
+The model keeps which slots are occupied and counts the traffic, not
+the vectors themselves: a flow's execution object is its dynamic state,
+so a stored copy would never be read.  The paper's Section 3.3.3
+augments the cache with a bitwise comparator (one XOR per state bit
+into a wired AND) so convergence between two flows is a one-cycle
+vector comparison, and Section 3.3.4 reuses it for deactivation; the
+scheduler makes those comparisons on the flows' own vectors and
+charges each convergence comparison to
+:attr:`StateVectorCache.comparisons`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ap.geometry import STATE_VECTOR_BITS, STATE_VECTOR_CACHE_ENTRIES
+from repro.ap.geometry import STATE_VECTOR_CACHE_ENTRIES
 from repro.errors import CapacityError
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """One saved execution context.
-
-    ``active`` is the set of active STE ids; ``counters`` the counter
-    values (unused by the paper's benchmarks but part of the vector).
-    """
-
-    active: frozenset[int]
-    counters: tuple[int, ...] = ()
-
-    @property
-    def bits(self) -> int:
-        """Architectural size of the vector in bits (constant)."""
-        return STATE_VECTOR_BITS
-
-    def is_zero(self) -> bool:
-        """True when no state is active (the deactivation test)."""
-        return not self.active and not any(self.counters)
-
-    def equals(self, other: "StateVector") -> bool:
-        """The comparator: bitwise equality of the two vectors."""
-        return self.active == other.active and self.counters == other.counters
 
 
 @dataclass
 class StateVectorCache:
-    """A fixed-capacity vector store with comparator instrumentation.
+    """A fixed-capacity slot store with traffic counters.
 
-    Beyond the comparator counts, the cache keeps the occupancy and
+    Besides the comparator count, the cache keeps the occupancy and
     hit/miss telemetry the observability layer reports: a *hit* is a
     restore of a populated slot, a *miss* a restore of an absent one
     (which still raises — the model treats it as a programming error,
@@ -57,7 +36,7 @@ class StateVectorCache:
     """
 
     capacity: int = STATE_VECTOR_CACHE_ENTRIES
-    _slots: dict[int, StateVector] = field(default_factory=dict)
+    _slots: set[int] = field(default_factory=set)
     comparisons: int = 0
     saves: int = 0
     restores: int = 0
@@ -66,29 +45,30 @@ class StateVectorCache:
     invalidations: int = 0
     peak_occupancy: int = 0
 
-    def save(self, slot: int, vector: StateVector) -> None:
-        """Write ``vector`` into ``slot`` (allocating it if new)."""
+    def save(self, slot: int) -> None:
+        """Write a flow's vector into ``slot`` (allocating it if new)."""
         if slot not in self._slots and len(self._slots) >= self.capacity:
             raise CapacityError(
                 f"state vector cache full: {self.capacity} flows is the "
                 "architectural limit (Section 5.1)"
             )
-        self._slots[slot] = vector
+        self._slots.add(slot)
         self.saves += 1
         if len(self._slots) > self.peak_occupancy:
             self.peak_occupancy = len(self._slots)
 
-    def restore(self, slot: int) -> StateVector:
+    def restore(self, slot: int) -> None:
+        """Fetch ``slot``'s vector back into the mask register."""
         if slot not in self._slots:
             self.misses += 1
             raise CapacityError(f"no state vector in slot {slot}")
         self.restores += 1
         self.hits += 1
-        return self._slots[slot]
 
     def invalidate(self, slot: int) -> None:
         """Drop a slot (flow deactivation); idempotent."""
-        if self._slots.pop(slot, None) is not None:
+        if slot in self._slots:
+            self._slots.remove(slot)
             self.invalidations += 1
 
     def occupied(self) -> int:
@@ -107,18 +87,3 @@ class StateVectorCache:
             "invalidations": self.invalidations,
             "comparisons": self.comparisons,
         }
-
-    def slots(self) -> tuple[int, ...]:
-        return tuple(sorted(self._slots))
-
-    # -- comparator -------------------------------------------------------
-
-    def compare(self, slot_a: int, slot_b: int) -> bool:
-        """One comparator invocation between two cached vectors."""
-        self.comparisons += 1
-        return self._slots[slot_a].equals(self._slots[slot_b])
-
-    def is_zero(self, slot: int) -> bool:
-        """Comparator against the zero mask (deactivation check)."""
-        self.comparisons += 1
-        return self._slots[slot].is_zero()

@@ -22,7 +22,7 @@ from repro.automata.execution import (
     FlowExecution,
     Report,
 )
-from repro.ap.state_vector import StateVector, StateVectorCache
+from repro.ap.state_vector import StateVectorCache
 from repro.ap.timing import DEFAULT_TIMING, TimingModel
 from repro.errors import CapacityError, ConfigurationError
 
@@ -95,9 +95,7 @@ class MultiStreamScheduler:
             job.job_id: FlowExecution(self.compiled) for job in jobs
         }
         for job in jobs:
-            self.cache.save(
-                job.job_id, StateVector(active=frozenset())
-            )
+            self.cache.save(job.job_id)
 
         time = 0
         switch_cycles = 0
@@ -125,10 +123,7 @@ class MultiStreamScheduler:
                 if multiplexed:
                     time += self.timing.context_switch_cycles
                     switch_cycles += self.timing.context_switch_cycles
-                self.cache.save(
-                    job.job_id,
-                    StateVector(active=flow.state_vector()),
-                )
+                self.cache.save(job.job_id)
                 if job.done:
                     job.finish_cycles = time
                     job.reports = frozenset(flow.reports)

@@ -11,16 +11,14 @@ Semantics (shared by every component of the library):
 * One step on symbol ``b``::
 
       enabled  = succ(C) | persistent | one_shot     # one_shot first step only
-      C'       = {s in enabled : b in label(s)} - excluded
+      C'       = {s in enabled : b in label(s)}
 
 * A report event ``(element, code, offset)`` fires whenever a reporting
   state enters ``C'``.
 
 ``persistent`` models ANML all-input start states (enabled on every
 symbol).  ``one_shot`` models start-of-data states (enabled for the first
-symbol only).  ``excluded`` lets the PAP enumeration flows drop
-always-active states whose behaviour the dedicated ASG flow reproduces;
-see :mod:`repro.core.merging`.
+symbol only).
 
 Executions are incremental: :meth:`FlowExecution.step` and
 :meth:`FlowExecution.run` may be interleaved freely, which is how the TDM
@@ -60,6 +58,13 @@ class CompiledAutomaton:
     states).  The executor exploits this — saturated automata (SPM,
     Dotstar) otherwise pay for their whole stable active set on every
     symbol.
+
+    Every table holds one int object per state id, the state's own
+    ``Ste.sid``: a pickled or deserialized automaton carries a fresh int
+    per edge, so ``succ`` maps its edges onto those objects.  Set
+    lookups of equal but distinct ints miss CPython's identity
+    shortcut, and flows mix these ids with the analysis's state sets
+    (path-independent states), which hold ``Ste.sid`` objects too.
     """
 
     __slots__ = (
@@ -78,8 +83,9 @@ class CompiledAutomaton:
     def __init__(self, automaton: Automaton) -> None:
         automaton.validate()
         self.automaton = automaton
+        ids = [ste.sid for ste in automaton.states()]
         self.succ: list[tuple[int, ...]] = [
-            automaton.successors(sid) for sid in range(len(automaton))
+            tuple(ids[dst] for dst in automaton.successors(sid)) for sid in ids
         ]
         self.label_masks: list[int] = [
             ste.label.mask for ste in automaton.states()
@@ -150,16 +156,12 @@ class FlowExecution:
         States enabled for the first step only.  ``None`` means the
         automaton's start-of-data states; pass ``frozenset()`` for flows
         that resume mid-input.
-    excluded:
-        States removed from every new current set (the always-active
-        group handled by a separate ASG flow).
     """
 
     __slots__ = (
         "compiled",
         "persistent",
         "one_shot",
-        "excluded",
         "reports",
         "symbols_processed",
         "transitions",
@@ -178,7 +180,6 @@ class FlowExecution:
         initial_current: Iterable[int] = (),
         persistent: frozenset[int] | None = None,
         one_shot: frozenset[int] | None = None,
-        excluded: frozenset[int] = frozenset(),
     ) -> None:
         self.compiled = compiled
         self.persistent = (
@@ -187,7 +188,6 @@ class FlowExecution:
         self.one_shot = (
             compiled.start_of_data if one_shot is None else one_shot
         )
-        self.excluded = excluded
         self.reports: list[Report] = []
         self.symbols_processed = 0
         self.transitions = 0
@@ -210,7 +210,7 @@ class FlowExecution:
 
     def _admit(self, sid: int) -> None:
         """Place a just-matched state into latched or volatile."""
-        if sid in self.compiled.latchable and sid not in self.excluded:
+        if sid in self.compiled.latchable:
             if sid not in self._latched:
                 self._latch(sid)
         else:
@@ -223,13 +223,13 @@ class FlowExecution:
         if sid in compiled.reporting:
             # Sorted insertion keeps latched-report order a pure function
             # of the latched set, never of latch arrival order or of set
-            # iteration order.  Without it, :meth:`clone` — which rebuilds
-            # this list by iterating a ``state_vector()`` frozenset —
-            # could reorder ``reports`` relative to the original flow.
+            # iteration order.  Without it, a flow seeded with another's
+            # ``state_vector()`` — which rebuilds this list by iterating a
+            # frozenset — could order ``reports`` unlike the original.
             insort(self._latched_reports, sid)
         index = self._latched_index
         for dst in compiled.succ[sid]:
-            if dst in self._latched or dst in self.excluded:
+            if dst in self._latched:
                 continue
             for symbol in compiled.symbols(dst):
                 index[symbol].add(dst)
@@ -277,8 +277,6 @@ class FlowExecution:
                 if masks[dst] & bit:
                     add(dst)
             self._started = True
-        if self.excluded:
-            fresh -= self.excluded
 
         to_latch = [
             sid
@@ -335,31 +333,6 @@ class FlowExecution:
         """Canonical snapshot of the dynamic state (for convergence and
         deactivation checks — the AP's state-vector-cache comparator)."""
         return frozenset(self._latched | self._volatile)
-
-    def is_dead(self) -> bool:
-        """True when this flow can never match again.
-
-        With no persistent or pending one-shot states, an empty current
-        set is absorbing: ``succ(empty)`` stays empty.
-        """
-        if self._latched or self._volatile or self.persistent:
-            return False
-        return self._started or not self.one_shot
-
-    def clone(self) -> "FlowExecution":
-        """An independent copy sharing the compiled tables."""
-        twin = FlowExecution(
-            self.compiled,
-            initial_current=self.state_vector(),
-            persistent=self.persistent,
-            one_shot=self.one_shot,
-            excluded=self.excluded,
-        )
-        twin.reports = list(self.reports)
-        twin.symbols_processed = self.symbols_processed
-        twin.transitions = self.transitions
-        twin._started = self._started
-        return twin
 
 
 @dataclass

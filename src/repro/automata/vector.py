@@ -21,9 +21,8 @@ first vector flow) and shared by every flow:
       cur' = (union of rows[s] for s in cur) & match_masks[class(b)]
              | (persistent & match_masks[class(b)])
 
-  with the one-shot set OR'd in on the first step only and the
-  excluded set masked off last — exactly the semantics of
-  :meth:`~repro.automata.execution.FlowExecution.step`.
+  with the one-shot set OR'd in on the first step only — exactly the
+  semantics of :meth:`~repro.automata.execution.FlowExecution.step`.
 
 The successor union is evaluated 64 states at a time: the current
 bitset is split into 64-bit limbs, and each non-zero limb indexes a
@@ -41,6 +40,14 @@ state in ``cur'``, emitted in ascending sid order — the same multiset,
 order, ``transitions`` and ``state_vector()`` values
 :class:`FlowExecution` produces, which is what keeps SVC, convergence
 and deactivation accounting identical across executors.
+
+The two engines share one constructor (``initial_current``,
+``persistent``, ``one_shot``) and one surface: ``step()``, ``run()``,
+``reports``, ``transitions``, ``symbols_processed``, ``state_vector()``
+and ``current``.  The scheduler drives either engine through it;
+:mod:`repro.analyze.facts`, :mod:`repro.core.speculation` and
+:mod:`repro.workloads.tracegen` drive the set engine through the same
+calls.
 
 Like the set path, the executor exploits the ``latchable`` states
 (full-label self-loops: once matched, matched forever).  The latched
@@ -102,7 +109,6 @@ class VectorTables:
         "rows",
         "reporting_mask",
         "latchable_mask",
-        "full_mask",
         "_unpack",
         "_limb_tables",
         "_limb_budget",
@@ -170,7 +176,6 @@ class VectorTables:
 
         self.reporting_mask = self.encode(compiled.reporting)
         self.latchable_mask = self.encode(compiled.latchable)
-        self.full_mask = (1 << n) - 1 if n else 0
         self._unpack = Struct("<%dQ" % self.limbs).unpack
 
         # limb tables: [class][limb position] -> {limb value: union of
@@ -252,11 +257,10 @@ class VectorTables:
 class VectorFlowExecution:
     """Bit-parallel drop-in for :class:`FlowExecution`.
 
-    Same constructor, same stepping semantics, same observable surface
-    (``reports`` / ``transitions`` / ``symbols_processed`` /
-    ``state_vector()`` / ``current`` / ``is_dead()`` / ``clone()``),
-    byte-for-byte identical accounting — only the execution strategy
-    differs.  See the module docstring for the recurrence.
+    Same constructor, same stepping semantics, same surface (listed in
+    the module docstring), byte-for-byte identical accounting — only
+    the execution strategy differs.  See the module docstring for the
+    recurrence.
     """
 
     __slots__ = (
@@ -264,7 +268,6 @@ class VectorFlowExecution:
         "tables",
         "persistent",
         "one_shot",
-        "excluded",
         "reports",
         "symbols_processed",
         "transitions",
@@ -275,7 +278,6 @@ class VectorFlowExecution:
         "_lat_rows",
         "_pers_by_class",
         "_one_mask",
-        "_not_excluded",
         "_rep_mask",
     )
 
@@ -286,7 +288,6 @@ class VectorFlowExecution:
         initial_current: Iterable[int] = (),
         persistent: frozenset[int] | None = None,
         one_shot: frozenset[int] | None = None,
-        excluded: frozenset[int] = frozenset(),
     ) -> None:
         self.compiled = compiled
         tables = compiled.vector_tables()
@@ -297,22 +298,14 @@ class VectorFlowExecution:
         self.one_shot = (
             compiled.start_of_data if one_shot is None else one_shot
         )
-        self.excluded = excluded
         self.reports: list[Report] = []
         self.symbols_processed = 0
         self.transitions = 0
         self._started = False
         self._cur = tables.encode(initial_current)
-        self._not_excluded = (
-            tables.full_mask & ~tables.encode(excluded) if excluded else 0
-        )
         # Latched bookkeeping: the monotone part of the current set and
         # the (incrementally maintained) union of its successor rows.
-        # Excluded latchable states never latch — they wash out of the
-        # current set on the first step, like the set path's `_admit`.
         lat = self._cur & tables.latchable_mask
-        if excluded:
-            lat &= self._not_excluded
         self._lat = 0
         self._not_lat = -1
         self._lat_rows = 0
@@ -333,10 +326,10 @@ class VectorFlowExecution:
     def _grow_latched(self, delta: int) -> None:
         """Fold newly latched states into the monotone latched part.
 
-        ``delta`` is a bitset of latchable, non-excluded states newly
-        seen in a current set.  Each state is OR'd into the latched
-        successor union exactly once, ever — afterwards its whole
-        contribution to a step costs nothing.
+        ``delta`` is a bitset of latchable states newly seen in a current
+        set.  Each state is OR'd into the latched successor union exactly
+        once, ever — afterwards its whole contribution to a step costs
+        nothing.
         """
         rows = self.tables.rows
         lat_rows = self._lat_rows
@@ -376,7 +369,6 @@ class VectorFlowExecution:
         latchable = tables.latchable_mask
         pers_by_class = self._pers_by_class
         pers_for = self._pers_for
-        not_excluded = self._not_excluded
         rep_mask = self._rep_mask
         report_sids = tables.report_sids
         codes = self.compiled.report_codes
@@ -403,8 +395,6 @@ class VectorFlowExecution:
                 started = True
                 if self._one_mask:
                     acc |= self._one_mask & match_masks[cls]
-            if not_excluded:
-                acc &= not_excluded
             cur = acc
             if latchable:
                 fresh_latched = acc & latchable & self._not_lat
@@ -436,25 +426,3 @@ class VectorFlowExecution:
         the set path's, which is what keeps SVC save/compare traffic
         and convergence/deactivation decisions strategy-invariant."""
         return self.tables.decode(self._cur)
-
-    def is_dead(self) -> bool:
-        """True when this flow can never match again (see
-        :meth:`FlowExecution.is_dead`)."""
-        if self._cur or self.persistent:
-            return False
-        return self._started or not self.one_shot
-
-    def clone(self) -> "VectorFlowExecution":
-        """An independent copy sharing the compiled tables."""
-        twin = VectorFlowExecution(
-            self.compiled,
-            initial_current=self.state_vector(),
-            persistent=self.persistent,
-            one_shot=self.one_shot,
-            excluded=self.excluded,
-        )
-        twin.reports = list(self.reports)
-        twin.symbols_processed = self.symbols_processed
-        twin.transitions = self.transitions
-        twin._started = self._started
-        return twin

@@ -233,23 +233,27 @@ def _options_from_args(args: argparse.Namespace) -> RunOptions:
         checkpoint=args.checkpoint,
         resume=args.resume,
         admission=(
-            AdmissionPolicy(memory_budget_bytes=budget, mode=args.admission_mode)
+            AdmissionPolicy(memory_budget_bytes=budget)
             if budget is not None
             else None
         ),
     )
 
 
-def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
+def _backend_from_args(
+    args: argparse.Namespace, options: RunOptions
+) -> ExecutionBackend:
     """The backend the ``--backend``/``--workers``/``--hedge-after``
-    flags name; raises :class:`ConfigurationError` like
-    :func:`_options_from_args`."""
+    flags name, checked against ``options``; raises
+    :class:`ConfigurationError` like :func:`_options_from_args`."""
     hedge = (
         HedgePolicy(mad_multiplier=args.hedge_after)
         if args.hedge_after is not None
         else None
     )
-    return resolve_backend(args.backend, workers=args.workers, hedge=hedge)
+    backend = resolve_backend(args.backend, workers=args.workers, hedge=hedge)
+    backend.check_options(options)
+    return backend
 
 
 def _add_workload(parser: argparse.ArgumentParser) -> None:
@@ -411,6 +415,13 @@ def _print_run_text(summary: dict) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Usage errors come first, so a rejected run opens no ledger.
+    try:
+        options = _options_from_args(args)
+        backend = _backend_from_args(args, options)
+    except ConfigurationError as error:
+        print(f"repro run: {error}", file=sys.stderr)
+        return 2
     bench = build_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
     # The flight recorder IS a tracer, so --trace/--profile work off it;
     # --metrics-export only needs a live metrics registry.
@@ -428,12 +439,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.no_fiv
         else DEFAULT_CONFIG
     )
-    try:
-        options = _options_from_args(args)
-        backend = _backend_from_args(args)
-    except ConfigurationError as error:
-        print(f"repro run: {error}", file=sys.stderr)
-        return 2
     drift = None
     try:
         run = run_benchmark(
@@ -697,7 +702,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         return 1
     try:
         options = _options_from_args(args)
-        backend = _backend_from_args(args)
+        backend = _backend_from_args(args, options)
     except ConfigurationError as error:
         print(f"repro bench run: {error}", file=sys.stderr)
         return 2
@@ -1252,18 +1257,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help=(
-            "admission guard: refuse or chunk runs whose predicted "
-            "peak host memory exceeds BYTES (see --admission-mode)"
-        ),
-    )
-    run_parser.add_argument(
-        "--admission-mode",
-        choices=("chunk", "refuse"),
-        default="chunk",
-        help=(
-            "over-budget response: 'chunk' bounds in-flight segment "
-            "dispatches to fit the budget, 'refuse' fails the run "
-            "before execution (default chunk)"
+            "admission guard: refuse a run whose input plus largest "
+            "segment exceeds BYTES; a --no-fiv run on --backend process "
+            "that fits one segment but not all of them dispatches "
+            "segments in waves that fit"
         ),
     )
     _add_common(run_parser)

@@ -21,9 +21,7 @@ from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton
 from repro.ap.device import Board
 from repro.ap.placement import Placement, place_automaton
-from repro.ap.state_vector import StateVector
 from repro.core.pap import PAPPlan
-from repro.core.scheduler import ASG_FLOW_ID
 from repro.errors import CapacityError, PlacementError
 
 
@@ -116,30 +114,17 @@ def deploy_plan(
         cache = device.state_vector_cache
 
         # Bind flows: the ASG flow plus each planned enumeration flow.
-        slots = []
-        flow_ids = [] if segment_plan.is_golden else [ASG_FLOW_ID]
-        flow_ids.extend(flow.flow_id for flow in segment_plan.flows)
-        if len(flow_ids) > cache.capacity - cache.occupied():
+        flows = len(segment_plan.flows) + (0 if segment_plan.is_golden else 1)
+        base = cache.occupied()
+        if flows > cache.capacity - base:
             raise CapacityError(
                 f"segment {segment_plan.segment.index} plans "
-                f"{len(flow_ids)} flows; device {device_index}'s state "
-                f"vector cache has {cache.capacity - cache.occupied()} "
-                "free slots"
+                f"{flows} flows; device {device_index}'s state "
+                f"vector cache has {cache.capacity - base} free slots"
             )
-        base = cache.occupied()
-        for offset, flow_id in enumerate(flow_ids):
-            slot = base + offset
-            initial = (
-                segment_plan.asg_initial
-                if flow_id == ASG_FLOW_ID
-                else next(
-                    flow.initial_current()
-                    for flow in segment_plan.flows
-                    if flow.flow_id == flow_id
-                )
-            )
-            cache.save(slot, StateVector(active=frozenset(initial)))
-            slots.append(slot)
+        slots = tuple(range(base, base + flows))
+        for slot in slots:
+            cache.save(slot)
 
         deployments.append(
             SegmentDeployment(
@@ -147,7 +132,7 @@ def deploy_plan(
                 first_half_core=next_half_core,
                 placement=placement,
                 device_index=device_index,
-                flow_slots=tuple(slots),
+                flow_slots=slots,
             )
         )
         next_half_core += placement.half_cores

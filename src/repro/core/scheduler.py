@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.execution import CompiledAutomaton, FlowExecution
 from repro.ap.events import OutputEvent, OutputEventBuffer
-from repro.ap.state_vector import StateVector, StateVectorCache
+from repro.ap.state_vector import StateVectorCache
 from repro.core.config import PAPConfig
 from repro.core.merging import FlowReductionStats, PlannedFlow
 from repro.core.partitioning import InputSegment
@@ -354,10 +354,7 @@ class SegmentScheduler:
         svc = StateVectorCache(capacity=max(config.max_flows, len(flows)))
         obs.metrics.counter("flows.spawned").inc(len(flows))
         for flow in flows:
-            svc.save(
-                flow.flow_id,
-                StateVector(active=flow.execution.state_vector()),
-            )
+            svc.save(flow.flow_id)
             if obs.enabled:
                 obs.instant(
                     "flow-spawn",
@@ -412,13 +409,7 @@ class SegmentScheduler:
             asg_end = asg_snapshots.get(length, frozenset())
             for flow in live:
                 if flow.kind == "asg" and pay_switch:
-                    timed(
-                        PHASE_SWITCH,
-                        index,
-                        svc.save,
-                        flow.flow_id,
-                        StateVector(active=asg_end),
-                    )
+                    timed(PHASE_SWITCH, index, svc.save, flow.flow_id)
                 if flow.kind != "enum":
                     continue
                 if pay_switch and step > 0:
@@ -665,8 +656,10 @@ class SegmentScheduler:
         """Context-switch a flow out at the end of its slice: deactivate
         it when its vector equals the ASG reference, else save the
         vector to its SVC slot when another flow runs next."""
-        vector = flow.execution.state_vector()
-        if self.config.use_deactivation and vector == asg_end:
+        if (
+            self.config.use_deactivation
+            and flow.execution.state_vector() == asg_end
+        ):
             self._deactivate(
                 flow,
                 position,
@@ -677,7 +670,7 @@ class SegmentScheduler:
                 track=track,
             )
         elif pay_switch:
-            svc.save(flow.flow_id, StateVector(active=vector))
+            svc.save(flow.flow_id)
 
     def _apply_fiv(
         self,

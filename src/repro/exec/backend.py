@@ -343,14 +343,16 @@ class ExecutionBackend:
     ) -> Execution:
         """Run one planned input under ``ctx.options``.
 
-        The admission guard decides first, so a refused run never
-        touches the checkpoint; then the checkpoint opens and the
+        The options are checked against this backend first and the
+        admission guard decides next, so a rejected or refused run
+        never touches the checkpoint; then the checkpoint opens and the
         segment loop runs.  One ``finally`` settles health and closes
         the checkpoint on every exit; on failure the observer's
         ``run_failed`` hook (the flight recorder's crash bundle) then
         gets that settled health.
         """
         options = ctx.options
+        self.check_options(options)
         health = RunHealth(run_id=ctx.observer.run_id)
         injector = FaultInjector(options.faults) if options.faults else None
         checkpoint: CheckpointRun | None = None
@@ -440,6 +442,10 @@ class ExecutionBackend:
         """This run's attempt function, built once per run, as a
         context manager whose exit releases any per-run dispatches."""
         raise NotImplementedError
+
+    def check_options(self, options: RunOptions) -> None:
+        """Raise :class:`ConfigurationError` for an option this backend
+        cannot honour, so that none is silently ignored."""
 
     def _prefetches(self, ctx: ExecutionContext) -> bool:
         """Whether this run dispatches every segment at once (so the
@@ -575,6 +581,14 @@ class SerialBackend(ExecutionBackend):
         self.strategy = strategy
         self.name = "serial" if strategy == "set" else strategy
 
+    def check_options(self, options: RunOptions) -> None:
+        if options.retry.segment_timeout_s is not None:
+            raise ConfigurationError(
+                "a segment timeout needs the process backend (the "
+                f"{self.name} backend runs segments in-process, where "
+                "nothing can interrupt one)"
+            )
+
     @contextmanager
     def _attempts(
         self,
@@ -593,12 +607,10 @@ class ProcessPoolBackend(ExecutionBackend):
     Parameters
     ----------
     workers:
-        Worker process count; defaults to the host CPU count.
-    mp_context:
-        ``multiprocessing`` start method.  Defaults to ``"spawn"`` — the
-        only method safe on every platform, and the one the payload
-        serialization is designed for.  ``"fork"`` works on POSIX and
-        skips child interpreter start-up.
+        Worker process count; defaults to the host CPU count.  Workers
+        always start with ``spawn``, the only start method safe on
+        every platform and the one the payload serialization is
+        designed for.
     hedge:
         Straggler hedging (see :mod:`repro.exec.durability`): a dispatch
         outstanding past a MAD-based multiple of this run's completed
@@ -633,14 +645,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: int | None = None,
         *,
-        mp_context: str = "spawn",
         hedge: HedgePolicy | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError("process backend needs >= 1 worker")
         self.workers = workers if workers is not None else os.cpu_count() or 1
         self.hedge = hedge
-        self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         self._run_counter = 0
         self._reset_ladder()
@@ -659,7 +669,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._dispatch_workers,
-                mp_context=multiprocessing.get_context(self._mp_context),
+                mp_context=multiprocessing.get_context("spawn"),
             )
             # Spawn the workers and run one no-op task per worker before
             # the first dispatch is timed, so that dispatch does not wait

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.ap.events import OutputEvent
+from repro.ap.geometry import STATE_VECTOR_BITS
 from repro.automata.anml import Automaton
 from repro.automata.serialization import automaton_to_dict
 from repro.core.config import PAPConfig
@@ -483,10 +484,10 @@ class HedgePolicy:
 # -- admission guard --------------------------------------------------------
 
 #: Modeled resident bytes per flow: three state-vector-sized bitsets
-#: (current, latched, SVC slot) on a 59,936-bit board vector, plus
+#: (current, latched, SVC slot) on the board's state vector, plus
 #: Python object bookkeeping.  Deliberately a round, documented figure:
 #: admission is a guard rail, not an allocator.
-BYTES_PER_FLOW = 3 * (59_936 // 8) + 512
+BYTES_PER_FLOW = 3 * (STATE_VECTOR_BITS // 8) + 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -507,29 +508,23 @@ class AdmissionDecision:
 
 @dataclasses.dataclass(frozen=True)
 class AdmissionPolicy:
-    """Refuse or chunk runs predicted to exceed a memory budget.
+    """Admit, chunk or refuse runs against a memory budget.
 
     The prediction uses the plan's *exact* per-segment flow counts (the
     same quantities ``repro.analyze``'s cost model predicts ahead of
     planning): each in-flight segment holds its flows' state vectors
     plus its input slice.  The no-FIV process path holds every segment
-    in flight at once; every other run holds one at a time.  On the
-    no-FIV path, ``mode="chunk"`` converts an over-budget prediction
-    into a bound on concurrently in-flight segments (the input is never
-    split further — cross-boundary matches make input chunking
-    semantically unsound); ``mode="refuse"`` raises instead.  A run
-    whose input plus largest segment exceeds the budget is refused in
-    either mode.
+    in flight at once; every other run holds one at a time.  A run is
+    admitted when its predicted peak fits, and refused when its input
+    plus its largest segment does not.  In between — only on the no-FIV
+    path — the run is chunked: the prediction becomes a bound on
+    concurrently in-flight segments (the input is never split further —
+    cross-boundary matches make input chunking semantically unsound).
     """
 
     memory_budget_bytes: int | None = None
-    mode: str = "chunk"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("chunk", "refuse"):
-            raise ConfigurationError(
-                f"admission mode must be 'chunk' or 'refuse', got {self.mode!r}"
-            )
         if (
             self.memory_budget_bytes is not None
             and self.memory_budget_bytes < 1
@@ -567,7 +562,7 @@ class AdmissionPolicy:
             )
         if input_bytes + max_segment > budget:
             # Even one segment at a time cannot fit: chunking cannot
-            # help (the input is never split further), so always refuse.
+            # help (the input is never split further).
             return AdmissionDecision(
                 action="refuse",
                 predicted_peak_bytes=peak,
@@ -577,18 +572,6 @@ class AdmissionPolicy:
                 reason=(
                     f"largest segment needs ~{input_bytes + max_segment} "
                     f"bytes, over the {budget} byte budget"
-                ),
-            )
-        if self.mode == "refuse":
-            return AdmissionDecision(
-                action="refuse",
-                predicted_peak_bytes=peak,
-                max_segment_bytes=max_segment,
-                budget_bytes=budget,
-                wave_size=None,
-                reason=(
-                    f"predicted peak ~{peak} bytes exceeds the "
-                    f"{budget} byte budget"
                 ),
             )
         wave = max(1, (budget - input_bytes) // max_segment)

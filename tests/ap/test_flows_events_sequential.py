@@ -1,22 +1,17 @@
-"""Unit tests for AP flows, the output event buffer, and the
-sequential baseline."""
+"""Unit tests for the output event buffer and the sequential baseline."""
 
 import pytest
 
 from repro.ap.events import OutputEvent, OutputEventBuffer
-from repro.ap.flows import ApFlow
 from repro.ap.sequential import run_sequential
-from repro.ap.state_vector import StateVectorCache
 from repro.ap.timing import TimingModel
 from repro.automata import builder
 from repro.automata.anml import Automaton
 from repro.automata.execution import (
     CompiledAutomaton,
-    FlowExecution,
     Report,
     run_automaton,
 )
-from repro.errors import ExecutionError
 
 
 @pytest.fixture
@@ -27,15 +22,6 @@ def compiled():
         automaton, hub, builder.classes_for("ab"), report_code=9
     )
     return CompiledAutomaton(automaton)
-
-
-def make_flow(compiled, flow_id=0):
-    return ApFlow(
-        flow_id=flow_id,
-        execution=FlowExecution(compiled),
-        cache=StateVectorCache(capacity=8),
-        buffer=OutputEventBuffer(),
-    )
 
 
 class TestOutputEventBuffer:
@@ -60,50 +46,6 @@ class TestOutputEventBuffer:
         early = OutputEvent(offset=1, report_code=0, element=0, flow_id=0)
         late = OutputEvent(offset=2, report_code=0, element=0, flow_id=0)
         assert early < late
-
-
-class TestApFlow:
-    def test_process_pushes_tagged_events(self, compiled):
-        flow = make_flow(compiled, flow_id=4)
-        flow.process(b"xabx", 0)
-        events = flow.buffer.drain()
-        assert [e.flow_id for e in events] == [4]
-        assert events[0].report_code == 9
-
-    def test_save_restore_cycle(self, compiled):
-        flow = make_flow(compiled)
-        flow.process(b"xa", 0)
-        flow.save()
-        assert flow.cache.saves == 1
-        flow.restore()
-        assert flow.resident
-        flow.process(b"b", 2)
-        assert {e.offset for e in flow.buffer.events} == {2}
-
-    def test_deactivated_flow_rejects_use(self, compiled):
-        flow = make_flow(compiled)
-        flow.deactivate()
-        with pytest.raises(ExecutionError):
-            flow.process(b"a", 0)
-        with pytest.raises(ExecutionError):
-            flow.save()
-
-    def test_deactivate_invalidates_cache_slot(self, compiled):
-        flow = make_flow(compiled)
-        flow.save()
-        flow.deactivate()
-        assert flow.cache.occupied() == 0
-
-    def test_unproductive_detection(self, compiled):
-        # Hub automata are never unproductive (persistent start).
-        flow = make_flow(compiled)
-        flow.process(b"zzzz", 0)
-        assert not flow.is_unproductive()
-
-    def test_state_vector_snapshot(self, compiled):
-        flow = make_flow(compiled)
-        flow.process(b"xa", 0)
-        assert flow.state_vector().active == flow.execution.state_vector()
 
 
 class TestSequentialBaseline:

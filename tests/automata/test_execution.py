@@ -160,50 +160,32 @@ class TestFlowExecution:
         flow.run(b"abxab")
         assert sorted(r.offset for r in flow.reports) == [1, 4]
 
-    def test_excluded_states_never_enter_current(self):
-        automaton = Automaton()
-        hub = builder.star_self_loop(automaton)
-        builder.attach_pattern(automaton, hub, builder.classes_for("ab"))
-        compiled = CompiledAutomaton(automaton)
-        flow = FlowExecution(
-            compiled,
-            persistent=frozenset(),
-            one_shot=frozenset(),
-            initial_current=[hub],
-            excluded=frozenset({hub}),
+
+class TestCompiledAutomaton:
+    def test_pickled_automaton_compiles_one_object_per_state_id(self):
+        """A pickle round trip (how the process backend ships automata
+        to its workers) leaves a fresh int per edge; the compiled
+        tables must still hold one object per state id, each state's
+        ``Ste.sid`` (the object the analysis's sets hold), so set
+        lookups keep CPython's identity shortcut.  Ids above 256
+        matter: smaller ints are cached by the interpreter anyway."""
+        import pickle
+
+        from repro.regex.ruleset import compile_ruleset
+
+        automaton, _ = compile_ruleset(
+            [f"k{i:03d}.*z{i:03d}" for i in range(80)]
         )
-        flow.run(b"ab")
-        # The hub fed the chain on the first step but was itself dropped
-        # from every subsequent current set.
-        assert hub not in flow.current
-        assert flow.state_vector() == frozenset({2})  # the 'b' tail
-
-    def test_is_dead_lifecycle(self):
-        automaton = literal_automaton("ab")
-        compiled = CompiledAutomaton(automaton)
-        flow = FlowExecution(compiled)
-        assert not flow.is_dead()  # one-shot start still pending
-        flow.step(ord("z"), 0)
-        assert flow.is_dead()  # start consumed, current empty
-
-    def test_persistent_flow_never_dead(self):
-        automaton = Automaton()
-        hub = builder.star_self_loop(automaton)
-        builder.attach_pattern(automaton, hub, builder.classes_for("ab"))
-        compiled = CompiledAutomaton(automaton)
-        flow = FlowExecution(compiled)
-        flow.run(b"zzzz")
-        assert not flow.is_dead()
-
-    def test_clone_is_independent(self):
-        automaton = literal_automaton("ab")
-        compiled = CompiledAutomaton(automaton)
-        flow = FlowExecution(compiled)
-        flow.step(ord("a"), 0)
-        twin = flow.clone()
-        twin.step(ord("b"), 1)
-        assert twin.reports and not flow.reports
-        assert flow.state_vector() == frozenset({0})
+        assert len(automaton) > 256
+        shipped = pickle.loads(pickle.dumps(automaton))
+        compiled = CompiledAutomaton(shipped)
+        targets = [dst for row in compiled.succ for dst in row]
+        assert len({id(dst) for dst in targets}) == len(set(targets))
+        canonical = {dst: dst for dst in targets}
+        assert all(canonical[dst] is shipped.state(dst).sid for dst in canonical)
+        members = compiled.latchable | compiled.reporting
+        assert any(sid > 256 for sid in compiled.latchable)
+        assert all(canonical[sid] is sid for sid in members)
 
 
 class TestReportValue:
@@ -249,7 +231,9 @@ def latching_reporter_automaton(num_reporters=4):
 class TestLatchedReportDeterminism:
     """Latched-report ordering is a pure function of the execution
     semantics — never of latch arrival order, set iteration order, or
-    the interpreter's hash seed (the PR-9 clone-ordering fix).
+    the interpreter's hash seed.  A clone here is a second flow seeded
+    with the first one's ``state_vector()`` and no one-shot states,
+    which is how every scheduler flow starts.
 
     The CI determinism job runs this class under two ``PYTHONHASHSEED``
     values; ``test_reports_identical_across_hash_seeds`` additionally
@@ -258,18 +242,21 @@ class TestLatchedReportDeterminism:
 
     # Triggers arrive in descending-sid order ('d' first), so latch
     # *insertion* order disagrees with sid order — the arrangement that
-    # exposed the pre-fix divergence between an original flow and its
-    # clone (which rebuilt the latched list from a frozenset).
+    # would expose a divergence between an original flow and its clone
+    # (which rebuilds the latched list from a frozenset).
     DATA = b"d.c.b.a." + b"xyzw" * 8
 
     def test_clone_continuation_reports_match_original(self):
         compiled = CompiledAutomaton(latching_reporter_automaton())
         flow = FlowExecution(compiled)
         flow.run(self.DATA[:8])
-        twin = flow.clone()
+        before = len(flow.reports)
+        twin = FlowExecution(
+            compiled, initial_current=flow.state_vector(), one_shot=frozenset()
+        )
         flow.run(self.DATA[8:], 8)
         twin.run(self.DATA[8:], 8)
-        assert twin.reports == flow.reports
+        assert twin.reports == flow.reports[before:]
         assert len({r.offset for r in flow.reports[-4:]}) == 1, (
             "tail step must carry all four latched reports"
         )
@@ -299,7 +286,8 @@ class TestLatchedReportDeterminism:
             "CompiledAutomaton(latching_reporter_automaton()))\n"
             "data = TestLatchedReportDeterminism.DATA\n"
             "flow.run(data[:8])\n"
-            "twin = flow.clone()\n"
+            "twin = FlowExecution(flow.compiled, "
+            "initial_current=flow.state_vector(), one_shot=frozenset())\n"
             "twin.run(data[8:], 8)\n"
             "print([(r.offset, r.element, r.code) for r in twin.reports])\n"
         )

@@ -29,7 +29,6 @@ class NaiveExecution:
         initial_current=(),
         persistent=None,
         one_shot=None,
-        excluded=frozenset(),
     ) -> None:
         self.compiled = compiled
         self.current = set(initial_current)
@@ -39,7 +38,6 @@ class NaiveExecution:
         self.one_shot = (
             compiled.start_of_data if one_shot is None else one_shot
         )
-        self.excluded = excluded
         self.reports: list[Report] = []
         self.transitions = 0
         self._started = False
@@ -57,7 +55,6 @@ class NaiveExecution:
         current = {
             sid for sid in enabled if compiled.label_masks[sid] & bit
         }
-        current -= self.excluded
         self.current = current
         self.transitions += len(current)
         for sid in current & compiled.reporting:
@@ -105,7 +102,7 @@ def test_fast_executor_equals_naive_on_rulesets(seed, raw):
 @given(seed=st.integers(0, 100_000), raw=st.binary(min_size=1, max_size=120))
 def test_fast_executor_equals_naive_with_flow_options(seed, raw):
     """Exercise the enumeration-flow parameterizations: seeded current,
-    custom persistent set, suppressed one-shot, exclusions."""
+    custom persistent set, suppressed one-shot."""
     rng = random.Random(seed)
     data = bytes(b"abcd"[b % 4] for b in raw)
     automaton = random_automaton(seed, num_states=9, alphabet=b"abcd")
@@ -119,9 +116,6 @@ def test_fast_executor_equals_naive_with_flow_options(seed, raw):
             rng.sample(range(count), rng.randint(0, min(3, count)))
         ),
         one_shot=frozenset(
-            rng.sample(range(count), rng.randint(0, min(3, count)))
-        ),
-        excluded=frozenset(
             rng.sample(range(count), rng.randint(0, min(3, count)))
         ),
     )

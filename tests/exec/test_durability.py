@@ -633,14 +633,14 @@ class TestAdmission:
         assert decision.action == "admit"
 
     def test_refuse_mode_raises_before_execution(self, workload):
+        """A budget under the input plus the largest segment refuses
+        the run, whatever the backend could hold in flight."""
         pap, data = workload
-        with pytest.raises(AdmissionError):
+        with pytest.raises(AdmissionError, match="largest segment"):
             pap.run(
                 data,
                 options=RunOptions(
-                    admission=AdmissionPolicy(
-                        memory_budget_bytes=10_000, mode="refuse"
-                    )
+                    admission=AdmissionPolicy(memory_budget_bytes=10_000)
                 ),
             )
 
@@ -654,9 +654,7 @@ class TestAdmission:
                 data,
                 options=RunOptions(
                     checkpoint=str(tmp_path),
-                    admission=AdmissionPolicy(
-                        memory_budget_bytes=1, mode="refuse"
-                    ),
+                    admission=AdmissionPolicy(memory_budget_bytes=1),
                 ),
             )
         resumed = pap.run(
@@ -665,23 +663,30 @@ class TestAdmission:
         assert resumed.extra["checkpoint"]["hits"] == first.num_segments
         assert resumed.extra["checkpoint"]["writes"] == 0
 
-    def test_unfittable_segment_refused_even_in_chunk_mode(self, workload):
-        pap, data = workload
-        with pytest.raises(AdmissionError):
+    def test_unfittable_segment_refused_even_in_chunk_mode(
+        self, workload, pool
+    ):
+        """On the no-FIV pool path, where a bound on in-flight segments
+        would otherwise apply, a budget under the input plus the
+        largest segment still refuses: chunking cannot split a
+        segment."""
+        automaton, data = workload[0].automaton, workload[1]
+        pap = ParallelAutomataProcessor(
+            automaton, config=replace(DEFAULT_CONFIG, use_fiv=False)
+        )
+        with pytest.raises(AdmissionError, match="largest segment"):
             pap.run(
                 data,
+                backend=pool,
                 options=RunOptions(
-                    admission=AdmissionPolicy(
-                        memory_budget_bytes=10_000, mode="chunk"
-                    )
+                    admission=AdmissionPolicy(memory_budget_bytes=10_000)
                 ),
             )
 
     def test_one_segment_at_a_time_priced_as_such(self, workload, cold, pool):
         """In-process runs and FIV pool runs hold one segment at a time:
         a budget that fits the input plus the largest segment admits
-        them, even in refuse mode, though every segment at once would
-        not fit."""
+        them, though every segment at once would not fit."""
         pap, data = workload
         probe = pap.run(
             data,
@@ -691,7 +696,7 @@ class TestAdmission:
         )
         budget = len(data) + probe.health["admission"]["max_segment_bytes"]
         options = RunOptions(
-            admission=AdmissionPolicy(memory_budget_bytes=budget, mode="refuse")
+            admission=AdmissionPolicy(memory_budget_bytes=budget)
         )
         for backend in ("serial", pool):
             result = pap.run(data, backend=backend, options=options)
@@ -714,19 +719,13 @@ class TestAdmission:
             data,
             backend=pool,
             options=RunOptions(
-                admission=AdmissionPolicy(
-                    memory_budget_bytes=400_000, mode="chunk"
-                )
+                admission=AdmissionPolicy(memory_budget_bytes=400_000)
             ),
         )
         admission = result.health["admission"]
         assert admission["action"] == "chunk"
         assert 1 <= admission["wave_size"] < result.num_segments
         assert cycle_fingerprint(result) == cold
-
-    def test_mode_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(memory_budget_bytes=1, mode="explode")
 
 
 class TestFaultPlanExtensions:

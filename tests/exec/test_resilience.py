@@ -275,6 +275,37 @@ class TestSerialRecovery:
                 ),
             )
 
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_segment_timeout_rejected_in_process(self, backend):
+        """Nothing can interrupt an in-process segment: a timeout there
+        is refused before the run, not silently ignored."""
+        with pytest.raises(ConfigurationError, match="segment timeout"):
+            small_pap().run(
+                trace(),
+                backend=backend,
+                options=RunOptions(retry=RetryPolicy(segment_timeout_s=1.0)),
+            )
+
+    def test_rejected_timeout_keeps_the_checkpoint(self, tmp_path):
+        """The rejection comes before the checkpoint opens, so a later
+        resume still finds every segment the earlier run wrote."""
+        pap = small_pap()
+        data = trace()
+        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
+        with pytest.raises(ConfigurationError):
+            pap.run(
+                data,
+                options=RunOptions(
+                    retry=RetryPolicy(segment_timeout_s=1.0),
+                    checkpoint=str(tmp_path),
+                ),
+            )
+        resumed = pap.run(
+            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
+        )
+        assert resumed.extra["checkpoint"]["hits"] == first.num_segments
+        assert resumed.extra["checkpoint"]["writes"] == 0
+
     def test_health_surfaces_in_result_and_metrics(self):
         tracer = Tracer()
         automaton = random_ruleset_automaton(5, num_patterns=4)

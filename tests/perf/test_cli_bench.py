@@ -100,6 +100,24 @@ class TestBenchRun:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_in_process_segment_timeout_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(
+            [
+                "bench",
+                "run",
+                "--benchmarks",
+                "Bro217",
+                "--segment-timeout",
+                "30",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "segment timeout" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_admission_flags_are_run_only(self, tmp_path):
         """The admission guard is a `repro run` option: `bench run`
         rejects its flags as a usage error instead of dropping them and
@@ -122,8 +140,6 @@ class TestBenchRun:
                     "1",
                     "--memory-budget",
                     "1",
-                    "--admission-mode",
-                    "refuse",
                     "--out",
                     str(out),
                 ]

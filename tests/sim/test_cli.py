@@ -67,6 +67,35 @@ class TestCommands:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_run_rejects_in_process_segment_timeout(
+        self, capsys, tmp_path, backend
+    ):
+        """Nothing can interrupt an in-process segment, so a timeout on
+        an in-process backend is a usage error, not silently ignored;
+        the rejected run leaves an existing ledger untouched."""
+        ledger = tmp_path / "run.jsonl"
+        ledger.write_text("kept\n")
+        code = main(
+            [
+                "run",
+                "Bro217",
+                "--scale",
+                "0.05",
+                "--trace-bytes",
+                "2048",
+                "--backend",
+                backend,
+                "--segment-timeout",
+                "0.000001",
+                "--ledger",
+                str(ledger),
+            ]
+        )
+        assert code == 2
+        assert "segment timeout" in capsys.readouterr().err
+        assert ledger.read_text() == "kept\n"
+
     def test_run_rejects_resume_without_checkpoint(self, capsys):
         code = main(
             [
