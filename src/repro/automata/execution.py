@@ -125,9 +125,9 @@ class CompiledAutomaton:
     def vector_tables(self) -> "VectorTables":
         """The bit-parallel transition tables for this automaton.
 
-        Built on first use and cached, so only runs that select the
-        vector strategy pay the compilation cost (and the NumPy
-        import).  See :mod:`repro.automata.vector`.
+        Built on first use and cached, so only runs that step flows on
+        the vector engine pay the compilation cost.  See
+        :mod:`repro.automata.vector`.
         """
         tables = self._vector_tables
         if tables is None:

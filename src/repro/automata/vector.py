@@ -63,6 +63,8 @@ stepping pays per *limb touched* and wins when many states are active
 at once (Levenshtein, Hamming — the transition-bound workloads); the
 active-set walk pays per *active state* and stays ahead on large
 automata whose live set is a handful of states (Snort, ClamAV).
+:func:`choose_engine` turns that into the ``auto`` engine option: the
+vector engine for automata of at most :data:`AUTO_MAX_LIMBS` limbs.
 """
 
 from __future__ import annotations
@@ -74,7 +76,16 @@ import numpy as np
 
 from repro.automata.execution import CompiledAutomaton, Report
 
-__all__ = ["VectorTables", "VectorFlowExecution", "LIMB_CACHE_BUDGET"]
+__all__ = [
+    "AUTO_MAX_LIMBS",
+    "ENGINE_CHOICES",
+    "ENGINE_NAMES",
+    "LIMB_CACHE_BUDGET",
+    "VectorFlowExecution",
+    "VectorTables",
+    "choose_engine",
+    "limb_count",
+]
 
 LIMB_CACHE_BUDGET = 128 << 20
 """Approximate byte budget for cached limb-value entries per automaton
@@ -84,13 +95,59 @@ budget, misses are still computed exactly but no longer stored, which
 bounds table memory on automata whose active sets never repeat
 (Fermi) without touching the common case."""
 
+#: The flow-stepping engines: the active-set walk of
+#: :class:`~repro.automata.execution.FlowExecution` and this module's
+#: :class:`VectorFlowExecution`.  Both are bit-exact in the cycle domain
+#: (reports, transitions and state vectors are byte-identical); they
+#: differ only in host wall-clock.
+ENGINE_NAMES = ("set", "vector")
+
+#: The values of the run option that picks how flows step: an engine,
+#: or ``auto`` (:func:`choose_engine`).
+ENGINE_CHOICES = ("auto", *ENGINE_NAMES)
+
+AUTO_MAX_LIMBS = 32
+"""``auto`` steps flows on the vector engine when the packed state
+vector is at most this many 64-bit limbs (2,048 states).  A vector
+step pays one Python pass over every limb of the volatile set,
+whatever its density, while the set walk pays per active state; so
+the vector engine's per-symbol cost grows with the automaton's width
+and the set walk's with its live set.  At scale 0.1 every suite
+automaton of at most 18 limbs runs its PAP layer at least 1.25x
+faster on the vector engine, and every one of at least 42 limbs at
+most 1.09x, RandomForest (1.76x at 48 limbs) excepted: a miss only
+keeps the set walk, the engine every run used before ``auto``
+existed (EXPERIMENTS.md, "Whole runs")."""
+
+
+def limb_count(num_states: int) -> int:
+    """64-bit limbs in the packed state vector of ``num_states`` states."""
+    return max(1, (num_states + 63) // 64)
+
+
+def choose_engine(requested: str, num_states: int) -> tuple[str, str]:
+    """The engine a run steps its flows with, and the reason.
+
+    ``set`` and ``vector`` are taken as requested (``RunOptions``
+    checks the value).  ``auto`` applies the width rule of
+    :data:`AUTO_MAX_LIMBS` to the automaton's state count: a
+    deterministic function of the automaton, decided without building
+    :class:`VectorTables`.
+    """
+    if requested != "auto":
+        return requested, f"{requested}: requested"
+    limbs = limb_count(num_states)
+    if limbs <= AUTO_MAX_LIMBS:
+        return "vector", f"vector: {limbs} limbs <= {AUTO_MAX_LIMBS}"
+    return "set", f"set: {limbs} limbs > {AUTO_MAX_LIMBS}"
+
 
 class VectorTables:
     """Shared per-automaton tables for bit-parallel execution.
 
     Built lazily by :meth:`CompiledAutomaton.vector_tables` and cached
     on the compiled automaton, so the (one-time) compilation cost is
-    paid only by runs that select the vector strategy.  The class
+    paid only by runs whose flows step on the vector engine.  The class
     structure is derived with NumPy (label-mask membership matrix,
     column dedup via ``np.unique``); the packed bitsets are carried as
     Python integers, whose wide AND/OR are single C loops over 30-bit
@@ -113,13 +170,16 @@ class VectorTables:
         "_limb_tables",
         "_limb_budget",
         "_report_sids",
+        "limb_misses",
+        "limb_entries",
+        "limb_bytes",
     )
 
     def __init__(self, compiled: CompiledAutomaton) -> None:
         self.compiled = compiled
         n = len(compiled)
         self.num_states = n
-        self.limbs = max(1, (n + 63) // 64)
+        self.limbs = limb_count(n)
         self.nbytes = self.limbs * 8
 
         # -- symbol classes (NumPy) ---------------------------------------
@@ -185,6 +245,11 @@ class VectorTables:
             for _ in range(self.num_classes)
         ]
         self._limb_budget = LIMB_CACHE_BUDGET
+        # Limb-cache accounting, kept on the miss path only: misses,
+        # entries stored, and bytes charged against the budget.
+        self.limb_misses = 0
+        self.limb_entries = 0
+        self.limb_bytes = 0
         # reporting-subset decode cache: masked bitset -> ascending sids
         self._report_sids: dict[int, tuple[int, ...]] = {}
 
@@ -238,12 +303,29 @@ class VectorTables:
                 union |= rows[base + low.bit_length() - 1]
                 remaining ^= low
             union &= match
+            self.limb_misses += 1
             if self._limb_budget > 0:
                 # Charge the entry's true footprint: the union's digits
                 # plus ~100 bytes of dict-slot and key overhead.
-                self._limb_budget -= 100 + (union.bit_length() >> 3)
+                charge = 100 + (union.bit_length() >> 3)
+                self._limb_budget -= charge
+                self.limb_bytes += charge
+                self.limb_entries += 1
                 table[value] = union
         return union
+
+    def limb_cache_stats(self) -> dict[str, int]:
+        """The limb cache since these tables were built: ``misses``
+        (each one a fold of successor rows), ``entries`` stored,
+        ``bytes`` charged against :data:`LIMB_CACHE_BUDGET`, and
+        ``exhausted`` (1 once the budget ran out and misses stopped
+        being stored)."""
+        return {
+            "misses": self.limb_misses,
+            "entries": self.limb_entries,
+            "bytes": self.limb_bytes,
+            "exhausted": int(self._limb_budget <= 0),
+        }
 
     def report_sids(self, reporting_bits: int) -> tuple[int, ...]:
         """Ascending sids of a reporting-subset bitset (cached)."""
@@ -259,7 +341,7 @@ class VectorFlowExecution:
 
     Same constructor, same stepping semantics, same surface (listed in
     the module docstring), byte-for-byte identical accounting — only
-    the execution strategy differs.  See the module docstring for the
+    the engine differs.  See the module docstring for the
     recurrence.
     """
 
@@ -424,5 +506,5 @@ class VectorFlowExecution:
     def state_vector(self) -> frozenset[int]:
         """Canonical snapshot of the dynamic state — bit-identical to
         the set path's, which is what keeps SVC save/compare traffic
-        and convergence/deactivation decisions strategy-invariant."""
+        and convergence/deactivation decisions engine-invariant."""
         return self.tables.decode(self._cur)

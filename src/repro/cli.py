@@ -53,6 +53,7 @@ from repro.errors import (
 from repro.exec import (
     AdmissionPolicy,
     BACKEND_NAMES,
+    ENGINE_CHOICES,
     ExecutionBackend,
     FaultPlan,
     FaultSpec,
@@ -118,16 +119,26 @@ PAPER_BYTES = {"1MB": 1_048_576, "10MB": 10_485_760}
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
-    """Execution-backend flags shared by ``run`` and ``bench run``."""
+    """Execution-backend and engine flags shared by ``run`` and
+    ``bench run``."""
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default="serial",
         help=(
-            "host execution backend (repro.exec); 'process' runs "
-            "segments in worker processes, 'vector' steps flows with "
-            "the NumPy bit-parallel executor — cycle metrics are "
-            "identical across all backends"
+            "where segments run (repro.exec): in-process, or 'process' "
+            "for worker processes — cycle metrics are identical on both"
+        ),
+    )
+    parser.add_argument(
+        "--engine",
+        choices=ENGINE_CHOICES,
+        default="auto",
+        help=(
+            "how flows step on either backend: 'set' walks active sets, "
+            "'vector' advances packed bitsets, 'auto' (default) picks "
+            "vector for automata of at most 32 64-bit limbs (2,048 "
+            "states) — cycle metrics are identical on every engine"
         ),
     )
     parser.add_argument(
@@ -224,6 +235,7 @@ def _options_from_args(args: argparse.Namespace) -> RunOptions:
     """
     budget = getattr(args, "memory_budget", None)
     return RunOptions(
+        engine=args.engine,
         retry=RetryPolicy(
             max_retries=args.retries, segment_timeout_s=args.segment_timeout
         ),
@@ -303,6 +315,8 @@ def _run_summary(run, bench, args) -> dict:
         "trace_bytes": run.trace_bytes,
         "ranks": run.ranks,
         "backend": args.backend,
+        "engine": pap.health.get("engine"),
+        "engine_reason": pap.health.get("engine_reason"),
         "use_fiv": not args.no_fiv,
         "segments": pap.num_segments,
         "baseline_cycles": run.baseline.total_cycles,
@@ -340,6 +354,8 @@ def _print_run_text(summary: dict) -> None:
         print(
             f"backend          : {summary['backend']} (FIV {fiv})"
         )
+    if summary["engine_reason"]:
+        print(f"engine           : {summary['engine_reason']}")
     print(f"baseline cycles  : {summary['baseline_cycles']}")
     print(f"PAP cycles       : {summary['pap_cycles']}")
     print(

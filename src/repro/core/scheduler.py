@@ -39,10 +39,10 @@ timing live in :mod:`repro.core.composition` and :mod:`repro.core.pap`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.execution import CompiledAutomaton, FlowExecution
+from repro.automata.vector import ENGINE_NAMES, VectorFlowExecution
 from repro.ap.events import OutputEvent, OutputEventBuffer
 from repro.ap.state_vector import StateVectorCache
 from repro.core.config import PAPConfig
@@ -56,16 +56,7 @@ from repro.obs.phases import (
 )
 from repro.obs.tracer import NULL_OBSERVER, Observer
 
-if TYPE_CHECKING:
-    from repro.automata.vector import VectorFlowExecution
-
-    AnyFlowExecution = FlowExecution | VectorFlowExecution
-
-#: Flow-stepping strategies a scheduler can run.  Both are bit-exact in
-#: the cycle domain — reports, transitions and state vectors are
-#: byte-identical — they differ only in host wall-clock (see
-#: :mod:`repro.automata.vector` for the crossover).
-STRATEGY_NAMES = ("set", "vector")
+AnyFlowExecution = FlowExecution | VectorFlowExecution
 
 ASG_FLOW_ID = -1
 GOLDEN_FLOW_ID = -2
@@ -140,7 +131,7 @@ class SegmentResult:
 @dataclass
 class _RuntimeFlow:
     flow_id: int
-    execution: "AnyFlowExecution"
+    execution: AnyFlowExecution
     unit_ids: list[int]
     kind: str  # "enum" | "asg" | "golden"
     alive: bool = True
@@ -149,12 +140,12 @@ class _RuntimeFlow:
 class SegmentScheduler:
     """Runs segments of one automaton under one configuration.
 
-    ``strategy`` selects how flows step: ``"set"`` is the active-set
+    ``engine`` selects how flows step: ``"set"`` is the active-set
     walk of :class:`FlowExecution`; ``"vector"`` the bit-parallel
     executor of :mod:`repro.automata.vector`.  The scheduler only ever
     touches the shared flow surface (``run`` / ``reports`` /
     ``transitions`` / ``state_vector``), so every cycle-domain decision
-    — deactivation, convergence, SVC traffic, metrics — is strategy-
+    — deactivation, convergence, SVC traffic, metrics — is engine-
     invariant by construction.
     """
 
@@ -166,25 +157,23 @@ class SegmentScheduler:
         path_independent: frozenset[int],
         observer: Observer | None = None,
         *,
-        strategy: str = "set",
+        engine: str = "set",
     ) -> None:
-        if strategy not in STRATEGY_NAMES:
+        if engine not in ENGINE_NAMES:
             raise ConfigurationError(
-                f"unknown flow strategy {strategy!r} "
-                f"(expected one of {', '.join(STRATEGY_NAMES)})"
+                f"unknown flow engine {engine!r} "
+                f"(expected one of {', '.join(ENGINE_NAMES)})"
             )
         self.compiled = compiled
         self.analysis = analysis
         self.config = config
         self.path_independent = path_independent
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.strategy = strategy
+        self.engine = engine
 
-    def _new_flow(self, **kwargs: object) -> "AnyFlowExecution":
-        """One flow execution under the configured stepping strategy."""
-        if self.strategy == "vector":
-            from repro.automata.vector import VectorFlowExecution
-
+    def _new_flow(self, **kwargs: object) -> AnyFlowExecution:
+        """One flow execution on the configured engine."""
+        if self.engine == "vector":
             return VectorFlowExecution(self.compiled, **kwargs)  # type: ignore[arg-type]
         return FlowExecution(self.compiled, **kwargs)  # type: ignore[arg-type]
 
@@ -205,9 +194,28 @@ class SegmentScheduler:
         past ``fiv_time`` (segment-local cycles), flows whose units are
         all false are invalidated.
         """
+        # The limb cache is shared by every segment on these tables, so
+        # each segment publishes the counts it added.
+        tables = (
+            self.compiled.vector_tables()
+            if self.engine == "vector" and self.observer.enabled
+            else None
+        )
+        before = tables.limb_cache_stats() if tables is not None else {}
         if plan.is_golden:
-            return self._run_golden(data, plan)
-        return self._run_enumerated(data, plan, unit_truth, fiv_time)
+            result = self._run_golden(data, plan)
+        else:
+            result = self._run_enumerated(data, plan, unit_truth, fiv_time)
+        if tables is not None:
+            registry = self.observer.metrics
+            for key, value in tables.limb_cache_stats().items():
+                if key == "exhausted":
+                    registry.gauge("vector.limb_cache.exhausted").set(value)
+                else:
+                    registry.counter(f"vector.limb_cache.{key}").inc(
+                        value - before[key]
+                    )
+        return result
 
     def _observe_segment(self, metrics: SegmentMetrics) -> None:
         """Feed segment-end distributions into the metrics registry.

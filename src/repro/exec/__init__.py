@@ -2,7 +2,8 @@
 
 See :mod:`repro.exec.backend` for the backend contract (dispatch and
 dependency rules, bit-exactness) and :class:`RunOptions`, the one value
-that says how a run recovers and persists; :mod:`repro.exec.worker`
+that says how a run steps its flows (the engine, independent of the
+backend), recovers and persists; :mod:`repro.exec.worker`
 for the spawn-safe worker protocol, :mod:`repro.exec.faults` for
 deterministic fault injection, :mod:`repro.exec.resilience` for the
 retry/backoff policy and run-health accounting, and
@@ -10,6 +11,7 @@ retry/backoff policy and run-health accounting, and
 hedging, and admission guard.
 """
 
+from repro.automata.vector import ENGINE_CHOICES
 from repro.exec.backend import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -49,6 +51,7 @@ __all__ = [
     "CheckpointRun",
     "CheckpointStore",
     "DEFAULT_RETRY_POLICY",
+    "ENGINE_CHOICES",
     "ExecutionBackend",
     "ExecutionContext",
     "FAULT_KINDS",

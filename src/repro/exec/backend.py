@@ -15,9 +15,6 @@ segment:
 
 ``SerialBackend``
     One in-process :class:`SegmentScheduler`, segments in index order.
-    ``strategy`` picks how flows step: the active-set walk, or the
-    bit-parallel executor of :mod:`repro.automata.vector` (the
-    ``"vector"`` backend name).
 
 ``ProcessPoolBackend``
     Each attempt is dispatched to a worker process via
@@ -32,6 +29,14 @@ segment:
     * with ``use_fiv=False`` no segment's *execution* depends on
       another's (truth only matters at composition time), so every
       first attempt is prefetched up front and the loop only collects.
+
+Placement and engine are independent options.
+:meth:`~ExecutionBackend.execute` resolves :attr:`RunOptions.engine`
+(the active-set walk, the bit-parallel executor of
+:mod:`repro.automata.vector`, or ``auto``, which picks one from the
+automaton's width) once per run, and every attempt of that run steps
+its flows on the result: in-process, in a pool worker, or in a
+degraded pool's in-process fallback.
 
 Segments are fallible, so every attempt runs under
 :func:`~repro.exec.resilience.run_with_retry`: a failed attempt (worker
@@ -75,6 +80,7 @@ from typing import Callable, Iterator
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton
 from repro.automata.execution import CompiledAutomaton
+from repro.automata.vector import ENGINE_CHOICES, choose_engine
 from repro.core.composition import (
     ComposedSegment,
     compose_segment,
@@ -121,7 +127,7 @@ from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
 
 #: The spellable backend names accepted by :func:`resolve_backend` (and
 #: the CLI's ``--backend`` flag).
-BACKEND_NAMES = ("serial", "process", "vector")
+BACKEND_NAMES = ("serial", "process")
 
 #: One try at one segment: ``attempt(plan, unit_truth, fiv_time)``.
 Attempt = Callable[[SegmentPlan, dict[int, bool], int | None], SegmentResult]
@@ -129,9 +135,14 @@ Attempt = Callable[[SegmentPlan, dict[int, bool], int | None], SegmentResult]
 
 @dataclass(frozen=True)
 class RunOptions:
-    """How one run recovers and persists; none of it moves the cycle
-    domain, since a segment's result is a pure function of its inputs.
+    """How one run steps, recovers and persists; none of it moves the
+    cycle domain, since a segment's result is a pure function of its
+    inputs.
 
+    ``engine`` says how flows step (one of
+    :data:`~repro.automata.vector.ENGINE_CHOICES`): ``"set"`` walks
+    active sets, ``"vector"`` advances packed bitsets, and ``"auto"``
+    picks per automaton (:func:`~repro.automata.vector.choose_engine`).
     ``retry`` bounds recovery (default fail-fast); ``faults`` injects a
     deterministic :class:`~repro.exec.faults.FaultPlan`; ``checkpoint``
     (a store or directory) writes every finished segment through, and
@@ -139,6 +150,7 @@ class RunOptions:
     checks the plan against a memory budget before anything runs.
     """
 
+    engine: str = "auto"
     retry: RetryPolicy = DEFAULT_RETRY_POLICY
     faults: FaultPlan | None = None
     checkpoint: CheckpointStore | str | None = None
@@ -146,6 +158,11 @@ class RunOptions:
     admission: AdmissionPolicy | None = None
 
     def __post_init__(self) -> None:
+        if self.engine not in ENGINE_CHOICES:
+            raise ConfigurationError(
+                f"unknown engine {self.engine!r} "
+                f"(expected one of {', '.join(ENGINE_CHOICES)})"
+            )
         if self.resume and self.checkpoint is None:
             raise ConfigurationError("resume needs a checkpoint directory")
 
@@ -162,6 +179,8 @@ class ExecutionContext:
     observer: Observer = NULL_OBSERVER
     options: RunOptions = RunOptions()
     # The run's state, set by ExecutionBackend.execute from the options.
+    engine: str = "set"
+    """The engine every attempt of this run steps flows with."""
     health: RunHealth = field(default_factory=RunHealth)
     injector: FaultInjector | None = None
     checkpoint: CheckpointRun | None = None
@@ -215,11 +234,11 @@ def _draw_fault(
 def _in_process_attempt(
     ctx: ExecutionContext,
     data: bytes,
-    strategy: str = "set",
     *,
     infrastructure: bool = True,
 ) -> Attempt:
-    """The serial attempt: one in-process scheduler for the whole run.
+    """The serial attempt: one in-process scheduler for the whole run,
+    on the run's engine.
 
     In-process, injected faults are modeled as their matching errors (a
     single process can only *model* worker crashes and hangs) and a
@@ -234,7 +253,7 @@ def _in_process_attempt(
         ctx.config,
         ctx.path_independent,
         observer=ctx.observer,
-        strategy=strategy,
+        engine=ctx.engine,
     )
 
     def attempt(
@@ -281,6 +300,24 @@ def _admit(
             f"admission guard refused the run: {decision.reason}"
         )
     return decision.wave_size
+
+
+def _choose_engine(ctx: ExecutionContext, health: RunHealth) -> str:
+    """Resolve the run's engine option once, into health and the ledger."""
+    engine, reason = choose_engine(ctx.options.engine, len(ctx.compiled))
+    health.engine = engine
+    health.engine_reason = reason
+    if ctx.observer.enabled:
+        ctx.observer.instant(
+            "engine",
+            track=TRACK_RUN,
+            args={
+                "engine": engine,
+                "reason": reason,
+                "requested": ctx.options.engine,
+            },
+        )
+    return engine
 
 
 def _open_checkpoint(
@@ -343,10 +380,11 @@ class ExecutionBackend:
     ) -> Execution:
         """Run one planned input under ``ctx.options``.
 
-        The options are checked against this backend first and the
-        admission guard decides next, so a rejected or refused run
-        never touches the checkpoint; then the checkpoint opens and the
-        segment loop runs.  One ``finally`` settles health and closes
+        The options are checked against this backend first, the engine
+        is chosen, and the admission guard decides next, so a rejected
+        or refused run never touches the checkpoint; then the
+        checkpoint opens and the segment loop runs, every attempt on
+        the chosen engine.  One ``finally`` settles health and closes
         the checkpoint on every exit; on failure the observer's
         ``run_failed`` hook (the flight recorder's crash bundle) then
         gets that settled health.
@@ -358,12 +396,14 @@ class ExecutionBackend:
         checkpoint: CheckpointRun | None = None
         failure: Exception | None = None
         try:
+            engine = _choose_engine(ctx, health)
             max_inflight = _admit(
                 ctx, health, plans, data, all_in_flight=self._prefetches(ctx)
             )
             checkpoint = _open_checkpoint(ctx, health, plans, data)
             ctx = replace(
                 ctx,
+                engine=engine,
                 health=health,
                 injector=injector,
                 checkpoint=checkpoint,
@@ -560,16 +600,8 @@ class ExecutionBackend:
 
 class SerialBackend(ExecutionBackend):
     """In-process execution: one scheduler, segments in index order,
-    composition interleaved segment to segment.
-
-    ``strategy`` selects how flows step (one of
-    :data:`repro.core.scheduler.STRATEGY_NAMES`, checked by the
-    scheduler): ``"set"`` walks active sets; ``"vector"`` advances
-    packed-bitset state vectors through precompiled per-symbol-class
-    tables, and names the backend ``"vector"``.  Cycle-domain results
-    are bit-exact across strategies; the vector win is largest on
-    transition-bound automata with wide active sets and can invert on
-    large sparse-active ones (see :mod:`repro.automata.vector`).
+    composition interleaved segment to segment, flows stepping on the
+    run's engine.
 
     Recovery: retryable failures — in-process, injected faults modeled
     as their matching errors — re-execute the segment under the run's
@@ -577,9 +609,7 @@ class SerialBackend(ExecutionBackend):
     deterministic, so a recovered run is bit-exact.
     """
 
-    def __init__(self, strategy: str = "set") -> None:
-        self.strategy = strategy
-        self.name = "serial" if strategy == "set" else strategy
+    name = "serial"
 
     def check_options(self, options: RunOptions) -> None:
         if options.retry.segment_timeout_s is not None:
@@ -598,7 +628,7 @@ class SerialBackend(ExecutionBackend):
     ) -> Iterator[Attempt]:
         if ctx.observer.enabled:
             ctx.observer.metrics.gauge("exec.workers").set(1)
-        yield _in_process_attempt(ctx, data, self.strategy)
+        yield _in_process_attempt(ctx, data)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -820,6 +850,7 @@ class ProcessPoolBackend(ExecutionBackend):
             config=ctx.config,
             path_independent=ctx.path_independent,
             data=data,
+            engine=ctx.engine,
         )
         submit = partial(
             self._submit, ctx, (id(self), self._run_counter), payload
@@ -1125,12 +1156,13 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Turn a backend spec (instance, name, or ``None``) into an instance.
 
-    ``None`` and ``"serial"`` yield a fresh :class:`SerialBackend`,
-    ``"vector"`` one on the vector strategy; ``"process"`` yields a
-    :class:`ProcessPoolBackend` with ``workers`` (plus the optional
-    ``hedge`` policy).  An existing instance passes through untouched
-    (``workers`` and ``hedge`` must then be ``None`` — the instance
-    already owns its pool and policy).  ``workers``/``hedge`` on an
+    ``None`` and ``"serial"`` yield a fresh :class:`SerialBackend`;
+    ``"process"`` yields a :class:`ProcessPoolBackend` with ``workers``
+    (plus the optional ``hedge`` policy).  The engine is not a backend
+    but a run option (:attr:`RunOptions.engine`).  An existing
+    instance passes through untouched (``workers`` and ``hedge`` must
+    then be ``None`` — the instance already owns its pool and
+    policy).  ``workers``/``hedge`` on an
     in-process backend name is a configuration error: there is no pool
     to size and no dispatch to hedge.
     """
@@ -1148,7 +1180,7 @@ def resolve_backend(
         return backend
     if backend == "process":
         return ProcessPoolBackend(workers=workers, hedge=hedge)
-    if backend not in (None, "serial", "vector"):
+    if backend not in (None, "serial"):
         raise ConfigurationError(
             f"unknown execution backend {backend!r} "
             f"(expected one of {', '.join(BACKEND_NAMES)})"
@@ -1159,4 +1191,4 @@ def resolve_backend(
             "(in-process execution has no pool to size and no "
             "dispatches to hedge)"
         )
-    return SerialBackend("vector" if backend == "vector" else "set")
+    return SerialBackend()

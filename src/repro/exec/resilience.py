@@ -92,6 +92,11 @@ class RunHealth:
     run_id: str | None = None
     """Correlation id shared with the run's flight-recorder ledger
     (``None`` when no flight recorder is attached)."""
+    engine: str | None = None
+    """The engine every attempt stepped flows with (``set``/``vector``)."""
+    engine_reason: str | None = None
+    """Why: ``"<engine>: requested"``, or the ``auto`` rule's verdict
+    such as ``"vector: 11 limbs <= 32"``."""
     attempts: dict[int, int] = field(default_factory=dict)
     """Execution attempts per segment index (1 everywhere on a clean run)."""
     retries: int = 0
@@ -143,6 +148,8 @@ class RunHealth:
         """JSON-ready view for ``PAPRunResult.extra["health"]``."""
         return {
             "run_id": self.run_id,
+            "engine": self.engine,
+            "engine_reason": self.engine_reason,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "crashes": self.crashes,

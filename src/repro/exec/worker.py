@@ -45,6 +45,9 @@ class RunPayload:
     config: PAPConfig
     path_independent: frozenset[int]
     data: bytes
+    engine: str = "set"
+    """The engine the parent chose for this run; every segment of the
+    run steps its flows on it."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ _cache_misses: int = 0
 def _scheduler_for(
     token: object, payload: RunPayload
 ) -> tuple[SegmentScheduler, bool, int]:
-    """The worker-local scheduler for ``token``, compiled on first use.
+    """The worker-local scheduler for ``token``, compiled on first use
+    and stepping flows on the run's engine.
 
     Returns ``(scheduler, cache_hit, compile_wall_ns)`` so shipped
     batches can expose the one-slot cache behaviour — pool reuse across
@@ -86,6 +90,7 @@ def _scheduler_for(
             AutomatonAnalysis(payload.automaton),
             payload.config,
             payload.path_independent,
+            engine=payload.engine,
         )
         _cached_token = token
         _cache_misses += 1

@@ -120,6 +120,7 @@ def run_bench_suite(
             "warmup": warmup,
             "repeats": repeats,
             "backend": resolved.name,
+            "engine": options.engine,
             "workers": getattr(resolved, "workers", 1),
             "use_fiv": use_fiv,
             "benchmarks": list(names),

@@ -107,10 +107,11 @@ class BenchmarkRun:
         }
 
     def telemetry_dict(self) -> dict:
-        """Quantile summaries of per-segment distributions.
+        """Quantile summaries of per-segment distributions, and the
+        engine that stepped the flows with the reason it was chosen.
 
-        Built from the run's own cycle-domain metrics (no observer
-        required), so it is as deterministic as :meth:`to_dict` — but it
+        Built from the run's own results (no observer required), so it
+        is as deterministic as :meth:`to_dict` — but it
         rides in the BENCH artifact's ``telemetry`` field, which the
         comparison engine never gates: distribution summaries are for
         reading trends, the exact per-quantity ``cycles`` keys are for
@@ -131,6 +132,10 @@ class BenchmarkRun:
             "segment_finish_cycles": finish.quantiles(),
             "segment_flows_at_end": flows.quantiles(),
             "segment_attempts": attempts.quantiles(),
+            # Which engine stepped the flows, and why: it moves the
+            # wall, never the cycles, so it lives here, not in cycles.
+            "engine": health.get("engine"),
+            "engine_reason": health.get("engine_reason"),
         }
         phases = self.pap.extra.get("phases")
         if phases:

@@ -114,6 +114,30 @@ class TestVectorTables:
         assert_twin("budget", fresh_set, fresh_vec)
 
 
+    def test_limb_cache_stats_count_the_miss_path(self):
+        """Every miss folds successor rows; within budget each is stored
+        and charged, and once the budget runs out misses stop being
+        stored and the tables say so."""
+        compiled = CompiledAutomaton(random_ruleset_automaton(2, num_patterns=3))
+        rng = random.Random(2)
+        data = bytes(rng.choice(b"abcdef") for _ in range(512))
+        tables = compiled.vector_tables()
+        VectorFlowExecution(compiled).run(data)
+        stats = tables.limb_cache_stats()
+        cached = sum(len(table) for cls in tables._limb_tables for table in cls)
+        assert stats["misses"] == stats["entries"] == cached > 0
+        assert stats["bytes"] >= 100 * cached
+        assert stats["exhausted"] == 0
+
+        tight = CompiledAutomaton(random_ruleset_automaton(2, num_patterns=3))
+        tables = tight.vector_tables()
+        tables._limb_budget = 3
+        VectorFlowExecution(tight).run(data)
+        stats = tables.limb_cache_stats()
+        assert stats["entries"] == 1 < stats["misses"]
+        assert stats["exhausted"] == 1
+
+
 class TestVectorEquivalence:
     @pytest.mark.parametrize(
         "name", ["Levenshtein", "Bro217", "EntityResolution"]

@@ -1,7 +1,9 @@
 """Execution-backend tests: the process backend is bit-exact against
 the serial backend in the cycle domain, worker crashes surface as
 :class:`ExecutionError` instead of hangs, and backend resolution
-validates its inputs.
+validates its inputs.  The equivalence tests run the pool on both
+engines against the in-process set walk, named explicitly: the
+default engine, ``auto``, is the vector engine on these automata.
 
 The equivalence tests are the backend's contract (ISSUE 4): every
 cycle-domain quantity of a :class:`PAPRunResult` — reports, timing
@@ -25,6 +27,7 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.exec import (
     BACKEND_NAMES,
     ProcessPoolBackend,
+    RunOptions,
     SerialBackend,
     resolve_backend,
 )
@@ -88,12 +91,18 @@ inputs = st.binary(min_size=0, max_size=300).map(
 def test_process_backend_is_bit_exact(pool, seed, data, config):
     """Serial and process backends produce identical PAPRunResults in
     the cycle domain, across random automata, inputs, and configs (both
-    FIV dispatch modes are exercised via ``use_fiv``)."""
+    FIV dispatch modes are exercised via ``use_fiv``), whichever engine
+    the pool's workers step flows with."""
     automaton = random_ruleset_automaton(seed, num_patterns=4)
     pap = ParallelAutomataProcessor(automaton, config=config)
-    serial = pap.run(data, backend=SerialBackend())
-    parallel = pap.run(data, backend=pool)
-    assert fingerprint(parallel) == fingerprint(serial)
+    serial = pap.run(
+        data, backend=SerialBackend(), options=RunOptions(engine="set")
+    )
+    for engine in ("set", "vector"):
+        parallel = pap.run(
+            data, backend=pool, options=RunOptions(engine=engine)
+        )
+        assert fingerprint(parallel) == fingerprint(serial), engine
 
 
 def test_process_backend_corpus(pool):
@@ -110,9 +119,12 @@ def test_process_backend_corpus(pool):
             use_fiv=rng.random() < 0.5,
         )
         pap = ParallelAutomataProcessor(automaton, config=config)
-        serial = pap.run(data, backend="serial")
-        parallel = pap.run(data, backend=pool)
-        assert fingerprint(parallel) == fingerprint(serial), seed
+        serial = pap.run(data, options=RunOptions(engine="set"))
+        for engine in ("set", "vector"):
+            parallel = pap.run(
+                data, backend=pool, options=RunOptions(engine=engine)
+            )
+            assert fingerprint(parallel) == fingerprint(serial), (seed, engine)
 
 
 def test_run_accepts_backend_name_and_workers():

@@ -93,18 +93,42 @@ class TestRunFingerprint:
         )
         assert len({base, other_input, other_split}) == 3
 
-    def test_backend_not_part_of_key(self, workload, tmp_path):
-        """A serial-written checkpoint file is found by a vector resume:
-        the fingerprint must not encode the backend."""
+    def test_backend_not_part_of_key(self, workload, tmp_path, pool):
+        """A serial-written checkpoint file is found by a process-pool
+        resume: the fingerprint must not encode the backend."""
         pap, data = workload
         pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
         resumed = pap.run(
             data,
-            backend="vector",
+            backend=pool,
             options=RunOptions(checkpoint=str(tmp_path), resume=True),
         )
         assert resumed.extra["checkpoint"]["hits"] > 0
         assert resumed.extra["checkpoint"]["writes"] == 0
+
+    @pytest.mark.parametrize(
+        ("written", "resumed"), [("set", "vector"), ("vector", "set")]
+    )
+    def test_engine_not_part_of_key(
+        self, workload, cold, tmp_path, written, resumed
+    ):
+        """A checkpoint written under one engine resumes bit-exactly
+        under the other: the fingerprint must not encode the engine."""
+        pap, data = workload
+        first = pap.run(
+            data, options=RunOptions(engine=written, checkpoint=str(tmp_path))
+        )
+        again = pap.run(
+            data,
+            options=RunOptions(
+                engine=resumed, checkpoint=str(tmp_path), resume=True
+            ),
+        )
+        assert first.health["engine"] == written
+        assert again.health["engine"] == resumed
+        assert again.extra["checkpoint"]["hits"] == first.num_segments
+        assert again.extra["checkpoint"]["writes"] == 0
+        assert cycle_fingerprint(again) == cold
 
 
 class TestCheckpointResume:
@@ -128,18 +152,23 @@ class TestCheckpointResume:
     def test_cross_backend_resume_bit_exact(
         self, workload, cold, tmp_path, pool
     ):
-        """The acceptance criterion across all three backends: one
-        serial-written checkpoint, resumed by process and vector."""
+        """The acceptance criterion across both backends and both
+        engines: one serial set-walk checkpoint, resumed by each."""
         pap, data = workload
-        pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
-        for backend in (pool, "vector", None):
-            resumed = pap.run(
-                data,
-                backend=backend,
-                options=RunOptions(checkpoint=str(tmp_path), resume=True),
-            )
-            assert cycle_fingerprint(resumed) == cold
-            assert resumed.extra["checkpoint"]["writes"] == 0
+        pap.run(
+            data, options=RunOptions(engine="set", checkpoint=str(tmp_path))
+        )
+        for backend in (pool, None):
+            for engine in ("set", "vector"):
+                resumed = pap.run(
+                    data,
+                    backend=backend,
+                    options=RunOptions(
+                        engine=engine, checkpoint=str(tmp_path), resume=True
+                    ),
+                )
+                assert cycle_fingerprint(resumed) == cold
+                assert resumed.extra["checkpoint"]["writes"] == 0
 
     def test_partial_checkpoint_executes_only_missing(
         self, workload, cold, tmp_path, pool

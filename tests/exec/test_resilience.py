@@ -275,15 +275,21 @@ class TestSerialRecovery:
                 ),
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "vector"])
-    def test_segment_timeout_rejected_in_process(self, backend):
+    @pytest.mark.parametrize(
+        "engine", ["set", "vector"], ids=["serial", "vector"]
+    )
+    def test_segment_timeout_rejected_in_process(self, engine):
         """Nothing can interrupt an in-process segment: a timeout there
-        is refused before the run, not silently ignored."""
+        is refused before the run, not silently ignored, whichever
+        engine steps the flows."""
         with pytest.raises(ConfigurationError, match="segment timeout"):
             small_pap().run(
                 trace(),
-                backend=backend,
-                options=RunOptions(retry=RetryPolicy(segment_timeout_s=1.0)),
+                backend="serial",
+                options=RunOptions(
+                    engine=engine,
+                    retry=RetryPolicy(segment_timeout_s=1.0),
+                ),
             )
 
     def test_rejected_timeout_keeps_the_checkpoint(self, tmp_path):

@@ -198,6 +198,37 @@ class TestWorkerCapture:
                 assert event.args[ARG_PID] > 0
                 assert event.args[ARG_PARENT_SPAN] >= 0
 
+    def test_limb_cache_metrics_in_process_and_merged(self, pool):
+        """The vector engine's limb cache reports itself: in-process
+        under ``vector.limb_cache.*`` (the counts every segment added,
+        summing to the tables' own), and from pool workers merged under
+        ``worker.``; the set walk publishes none of it."""
+        names = ("misses", "entries", "bytes")
+        tracer = Tracer()
+        pap = small_pap(observer=tracer)
+        pap.run(trace(), options=RunOptions(engine="vector"))
+        tables = pap.compiled.vector_tables()
+        stats = tables.limb_cache_stats()
+        assert stats["misses"] > 0 and stats["exhausted"] == 0
+        for name in names:
+            counter = tracer.metrics.counter(f"vector.limb_cache.{name}")
+            assert counter.value == stats[name], name
+        assert tracer.metrics.gauge("vector.limb_cache.exhausted").value == 0
+
+        pooled = Tracer()
+        small_pap(observer=pooled).run(
+            trace(), backend=pool, options=RunOptions(engine="vector")
+        )
+        snapshot = pooled.metrics.snapshot()
+        assert snapshot["worker.vector.limb_cache.misses"]["value"] > 0
+        assert not any(key.startswith("vector.") for key in snapshot)
+
+        walked = Tracer()
+        small_pap(observer=walked).run(
+            trace(), options=RunOptions(engine="set")
+        )
+        assert not any("limb_cache" in key for key in walked.metrics.snapshot())
+
     def test_worker_cache_hit_skips_recompile(self):
         """Direct worker-entry check of the one-slot cache counters:
         same token -> hit with zero compile wall, new token -> miss."""

@@ -148,8 +148,8 @@ class TestBenchRun:
         assert not out.exists()
 
     def test_parameters_block_records_every_run_option(self, tmp_path):
-        """The artifact's ``parameters`` name the backend and every run
-        option the flags set, value for value."""
+        """The artifact's ``parameters`` name the backend, the requested
+        engine and every run option the flags set, value for value."""
         out = tmp_path / "x.json"
         ckpt = str(tmp_path / "ckpt")
         spec = "seed=7,rate=0.3,kinds=transient"
@@ -171,6 +171,8 @@ class TestBenchRun:
                 "process",
                 "--workers",
                 "2",
+                "--engine",
+                "vector",
                 "--retries",
                 "2",
                 "--segment-timeout",
@@ -195,6 +197,7 @@ class TestBenchRun:
             "warmup": 0,
             "repeats": 1,
             "backend": "process",
+            "engine": "vector",
             "workers": 2,
             "use_fiv": True,
             "benchmarks": ["Ranges1"],

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +17,21 @@ class TestParser:
         assert args.benchmark == "Bro217"
         assert args.ranks == 1
         assert args.model_input == "1MB"
+        assert args.backend == "serial"
+        assert args.engine == "auto"
+
+    @pytest.mark.parametrize("command", [["run", "Bro217"], ["bench", "run"]])
+    def test_vector_is_an_engine_not_a_backend(self, command, capsys):
+        """Placement and engine are independent flags: ``--backend
+        vector`` is a usage error (exit 2), ``--engine vector`` is not."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--backend", "vector"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            command + ["--backend", "process", "--engine", "vector"]
+        )
+        assert (args.backend, args.engine) == ("process", "vector")
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
@@ -46,6 +63,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "verified OK" in out
+        assert "engine           : vector: 2 limbs <= 32" in out
+
+    @pytest.mark.parametrize("engine", ["auto", "set", "vector"])
+    def test_run_summary_names_the_engine(self, capsys, engine):
+        """The summary says which engine stepped the flows and why, and
+        a forced engine moves no cycle metric."""
+        code = main(
+            [
+                "run",
+                "Bro217",
+                "--scale",
+                "0.05",
+                "--trace-bytes",
+                "2048",
+                "--engine",
+                engine,
+                "--format",
+                "json",
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        picked = "vector" if engine == "auto" else engine
+        assert summary["engine"] == picked
+        assert summary["health"]["engine"] == picked
+        assert summary["engine_reason"] == (
+            "vector: 2 limbs <= 32" if engine == "auto"
+            else f"{engine}: requested"
+        )
+        assert summary["reports_match"] is True
 
     def test_run_rejects_workers_without_pool(self, capsys):
         """--workers sizes a process pool; on an in-process backend it
@@ -67,9 +114,11 @@ class TestCommands:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    @pytest.mark.parametrize(
+        "engine", ["set", "vector"], ids=["serial", "vector"]
+    )
     def test_run_rejects_in_process_segment_timeout(
-        self, capsys, tmp_path, backend
+        self, capsys, tmp_path, engine
     ):
         """Nothing can interrupt an in-process segment, so a timeout on
         an in-process backend is a usage error, not silently ignored;
@@ -85,7 +134,9 @@ class TestCommands:
                 "--trace-bytes",
                 "2048",
                 "--backend",
-                backend,
+                "serial",
+                "--engine",
+                engine,
                 "--segment-timeout",
                 "0.000001",
                 "--ledger",
