@@ -54,7 +54,6 @@ class OutputEventBuffer:
             )
         )
         self.raw_events += 1
-        self.observer.metrics.counter("events.pushed").inc()
 
     def push_all(self, reports: list[Report], flow_id: int) -> None:
         for report in reports:

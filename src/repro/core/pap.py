@@ -46,6 +46,7 @@ from repro.exec.backend import (
 )
 from repro.host.reporting import report_processing_cycles
 from repro.obs.phases import summarize_run_phases
+from repro.obs.series import publish_run
 from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
 
 _EMPTY_STATS = FlowReductionStats(0, 0, 0, 0)
@@ -152,9 +153,6 @@ class ParallelAutomataProcessor:
         )
         result = self._plan(data)
         if obs.enabled:
-            obs.metrics.gauge("plan.max_flows").set(
-                result.max_planned_flows
-            )
             obs.end_span(
                 span,
                 args={
@@ -365,21 +363,16 @@ class ParallelAutomataProcessor:
                 else:
                     svc_totals[key] = svc_totals.get(key, 0) + value
 
-        if obs.enabled:
-            if golden_cycles < enumeration_cycles:
-                obs.instant(
-                    "golden-fallback",
-                    track=TRACK_RUN,
-                    cycle=golden_cycles,
-                    args={
-                        "golden_cycles": golden_cycles,
-                        "enumeration_cycles": enumeration_cycles,
-                    },
-                )
-                obs.metrics.counter("pap.golden_fallbacks").inc()
-            for key, value in svc_totals.items():
-                obs.metrics.gauge(f"svc.{key}").set(value)
-            obs.metrics.counter("pap.runs").inc()
+        if obs.enabled and golden_cycles < enumeration_cycles:
+            obs.instant(
+                "golden-fallback",
+                track=TRACK_RUN,
+                cycle=golden_cycles,
+                args={
+                    "golden_cycles": golden_cycles,
+                    "enumeration_cycles": enumeration_cycles,
+                },
+            )
         obs.end_span(
             run_span,
             cycle=min(enumeration_cycles, golden_cycles),
@@ -412,4 +405,5 @@ class ParallelAutomataProcessor:
         result.extra["phases"] = summarize_run_phases(
             result, wall=obs.phases
         )
+        publish_run(obs.metrics, result)
         return result

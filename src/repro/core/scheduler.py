@@ -217,22 +217,6 @@ class SegmentScheduler:
                     )
         return result
 
-    def _observe_segment(self, metrics: SegmentMetrics) -> None:
-        """Feed segment-end distributions into the metrics registry.
-
-        These power the OpenMetrics quantile summaries (p50/p95/p99 of
-        segment latency and flow survival).  Under the null observer
-        the registry hands back shared no-op instruments, so the cost
-        is two calls per *segment* — nowhere near the per-symbol path.
-        """
-        registry = self.observer.metrics
-        registry.histogram("segment.finish_cycles").observe(
-            metrics.finish_cycles
-        )
-        registry.histogram("segment.flows_at_end").observe(
-            metrics.flows_at_end
-        )
-
     # -- golden (first) segment ---------------------------------------------
 
     def _run_golden(self, data: bytes, plan: SegmentPlan) -> SegmentResult:
@@ -274,7 +258,6 @@ class SegmentScheduler:
             cycle=segment.length,
             args={"raw_events": metrics.raw_events},
         )
-        self._observe_segment(metrics)
         return SegmentResult(
             plan=plan,
             events=events,
@@ -360,7 +343,6 @@ class SegmentScheduler:
         # the capacity is widened for over-capacity plans (the overflow
         # itself is already flagged as ``PAPRunResult.svc_overflow``).
         svc = StateVectorCache(capacity=max(config.max_flows, len(flows)))
-        obs.metrics.counter("flows.spawned").inc(len(flows))
         for flow in flows:
             svc.save(flow.flow_id)
             if obs.enabled:
@@ -541,7 +523,6 @@ class SegmentScheduler:
                 "fiv_invalidations": metrics.fiv_invalidations,
             },
         )
-        self._observe_segment(metrics)
 
         final_currents = {
             flow.flow_id: (
@@ -703,7 +684,6 @@ class SegmentScheduler:
                 flow.alive = False
                 metrics.fiv_invalidations += 1
                 svc.invalidate(flow.flow_id)
-                obs.metrics.counter("flows.fiv_killed").inc()
                 if obs.enabled:
                     obs.instant(
                         "flow-fiv-kill",
@@ -742,7 +722,6 @@ class SegmentScheduler:
         for unit_id in flow.unit_ids:
             history[unit_id].append((ASG_FLOW_ID, position))
         obs = self.observer
-        obs.metrics.counter("flows.deactivated").inc()
         if obs.enabled:
             obs.instant(
                 "flow-deactivate",
@@ -792,7 +771,6 @@ class SegmentScheduler:
             survivor.unit_ids.extend(flow.unit_ids)
             for unit_id in flow.unit_ids:
                 history[unit_id].append((survivor.flow_id, position))
-            obs.metrics.counter("flows.converged").inc()
             if obs.enabled:
                 obs.instant(
                     "flow-converge",

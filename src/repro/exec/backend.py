@@ -123,6 +123,7 @@ from repro.exec.resilience import (
 from repro.exec.worker import RunPayload, run_segment_task, worker_ready
 from repro.host.decode import false_path_decode_cycles
 from repro.obs.phases import PHASE_COMPOSE
+from repro.obs.series import publish_health, publish_segment
 from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
 
 #: The spellable backend names accepted by :func:`resolve_backend` (and
@@ -219,15 +220,12 @@ def _draw_fault(
     if ctx.injector is None:
         return None
     kind = ctx.injector.draw(index, infrastructure=infrastructure)
-    if kind is not None:
-        obs = ctx.observer
-        obs.metrics.counter("exec.faults_injected").inc()
-        if obs.enabled:
-            obs.instant(
-                "fault-injected",
-                track=TRACK_EXEC,
-                args={"segment": index, "kind": kind},
-            )
+    if kind is not None and ctx.observer.enabled:
+        ctx.observer.instant(
+            "fault-injected",
+            track=TRACK_EXEC,
+            args={"segment": index, "kind": kind},
+        )
     return kind
 
 
@@ -384,10 +382,10 @@ class ExecutionBackend:
         is chosen, and the admission guard decides next, so a rejected
         or refused run never touches the checkpoint; then the
         checkpoint opens and the segment loop runs, every attempt on
-        the chosen engine.  One ``finally`` settles health and closes
-        the checkpoint on every exit; on failure the observer's
-        ``run_failed`` hook (the flight recorder's crash bundle) then
-        gets that settled health.
+        the chosen engine.  One ``finally`` settles health, closes
+        the checkpoint and publishes the recovery series on every exit;
+        on failure the observer's ``run_failed`` hook (the flight
+        recorder's crash bundle) then gets that settled health.
         """
         options = ctx.options
         self.check_options(options)
@@ -420,9 +418,11 @@ class ExecutionBackend:
                 health.checkpoint_hits = checkpoint.hits
                 health.checkpoint_writes = checkpoint.writes
                 checkpoint.close()
+            record = health.to_dict()
+            publish_health(ctx.observer.metrics, record)
             if failure is not None:
                 ctx.observer.run_failed(failure, health=health)
-        extra: dict = {"health": health.to_dict()}
+        extra: dict = {"health": record}
         if checkpoint is not None:
             extra["checkpoint"] = dict(
                 checkpoint.to_dict(), resumed=options.resume
@@ -549,6 +549,7 @@ class ExecutionBackend:
         decode = false_path_decode_cycles(
             max(1, result.metrics.flows_at_end), timing=ctx.config.timing
         )
+        publish_segment(obs.metrics, result)
         return SegmentOutcome(
             result=result, composed=composed, decode_cycles=decode
         )
@@ -563,12 +564,8 @@ class ExecutionBackend:
         if ctx.checkpoint is None:
             return None
         result = ctx.checkpoint.load(plan)
-        if result is None:
-            return None
-        obs = ctx.observer
-        obs.metrics.counter("exec.checkpoint.hits").inc()
-        if obs.enabled:
-            obs.instant(
+        if result is not None and ctx.observer.enabled:
+            ctx.observer.instant(
                 "checkpoint-hit",
                 track=TRACK_EXEC,
                 args={"segment": plan.segment.index},
@@ -588,10 +585,8 @@ class ExecutionBackend:
             else False
         )
         ctx.checkpoint.record(plan, result, corrupt=corrupt)
-        obs = ctx.observer
-        obs.metrics.counter("exec.checkpoint.writes").inc()
-        if obs.enabled:
-            obs.instant(
+        if ctx.observer.enabled:
+            ctx.observer.instant(
                 "checkpoint-write",
                 track=TRACK_EXEC,
                 args={"segment": plan.segment.index, "corrupt": corrupt},
@@ -778,7 +773,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     "error": kind,
                 }
             )
-            obs.metrics.counter("exec.worker_stepdowns").inc()
             if obs.enabled:
                 obs.metrics.gauge("exec.workers").set(self._dispatch_workers)
                 obs.instant(
@@ -811,7 +805,6 @@ class ProcessPoolBackend(ExecutionBackend):
         health.downgraded_at_segment = plan.segment.index
         health.downgrade_reason = reason
         obs = ctx.observer
-        obs.metrics.counter("exec.downgrades").inc()
         if obs.enabled:
             obs.instant(
                 "backend-downgrade",
@@ -1058,7 +1051,6 @@ class ProcessPoolBackend(ExecutionBackend):
                         outstanding[hedge_future] = hedge_span
                         spans.append(hedge_span)
                         ctx.health.hedges += 1
-                        obs.metrics.counter("exec.hedges").inc()
                         if obs.enabled:
                             obs.instant(
                                 "segment-hedged",
@@ -1123,7 +1115,6 @@ class ProcessPoolBackend(ExecutionBackend):
             ctx.health.hedge_wins.append(
                 {"segment": index, "waited_ms": waited_ms}
             )
-            obs.metrics.counter("exec.hedge_wins").inc()
             if obs.enabled:
                 obs.instant(
                     "hedge-win",

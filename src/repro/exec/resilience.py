@@ -7,9 +7,8 @@ exact* — recovery can be verified against a fault-free run, not just
 hoped for.  :func:`run_with_retry` is the shared driver both backends
 wrap around one segment's execution attempts; :class:`RetryPolicy`
 bounds it (attempt budget, capped exponential backoff, per-segment
-dispatch timeout); :class:`RunHealth` records what
-actually happened so ``PAPRunResult.extra["health"]`` and the
-``exec.*`` metrics can surface it.
+dispatch timeout); :class:`RunHealth` records what actually happened
+for ``PAPRunResult.extra["health"]`` and the ``exec.*`` series.
 """
 
 from __future__ import annotations
@@ -204,20 +203,12 @@ def run_with_retry(
         attempt += 1
         health.record_attempt(segment_index)
         try:
-            result = attempt_fn()
-            # Distribution of attempts-to-success per segment; feeds the
-            # p50/p95/p99 retry summaries in the OpenMetrics export.
-            observer.metrics.histogram(
-                "exec.attempts_per_segment"
-            ).observe(attempt)
-            return result
+            return attempt_fn()
         except RETRYABLE_ERRORS as error:
             if isinstance(error, SegmentTimeoutError):
                 health.timeouts += 1
-                observer.metrics.counter("exec.timeouts").inc()
             elif isinstance(error, WorkerCrashError):
                 health.crashes += 1
-                observer.metrics.counter("exec.crashes").inc()
             if on_failure is not None:
                 on_failure(error)
             if attempt >= policy.max_attempts:
@@ -226,7 +217,6 @@ def run_with_retry(
                     f"attempt(s) (retries exhausted): {error}"
                 ) from error
             health.retries += 1
-            observer.metrics.counter("exec.retries").inc()
             if observer.enabled:
                 observer.instant(
                     "segment-retry",

@@ -5,9 +5,9 @@ tracer records *when* things happened, the registry records *how many*
 and *how large*.  Instruments are created on demand and keyed by name,
 so call sites never need to pre-declare what they measure::
 
-    registry.counter("flows.deactivated").inc()
-    registry.gauge("svc.peak_occupancy").set(peak)
-    registry.histogram("segment.finish_cycles").observe(cycles)
+    registry.counter("exec.dispatches").inc()
+    registry.gauge("exec.workers").set(workers)
+    registry.histogram("worker.compile_wall_ms").observe(ms)
 
 A parallel null hierarchy (:data:`NULL_REGISTRY` handing out
 :data:`NULL_COUNTER` etc.) backs the disabled observer: every method is

@@ -18,7 +18,8 @@ cross-process streaming would serialize the hot loop on a pipe):
   ``perf_counter_ns`` timestamps into the parent's clock domain
   (the domains are *not* comparable across processes), land events on
   stable per-pid tracks, parent them under the ``dispatch[i]`` span,
-  and fold metrics into the registry prefixed ``worker.``.
+  and fold the worker's host metrics into the registry prefixed
+  ``worker.``.
 
 Re-basing: the worker's capture window ``[wall_start_ns,
 wall_end_ns]`` is right-aligned at the parent's dispatch-span end (the
@@ -32,12 +33,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.obs.tracer import TraceEvent, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 #: args key carrying the originating worker pid on merged records.
 ARG_PID = "pid"
@@ -122,41 +119,6 @@ class RecordingObserver(Tracer):
         )
 
 
-def fold_metrics(
-    registry: "MetricsRegistry", snapshot: dict, *, prefix: str = "worker."
-) -> None:
-    """Fold a worker's metrics snapshot into a live registry.
-
-    Counters add; gauges keep last-value semantics while preserving the
-    worker's observed max; histograms merge exactly (count, total,
-    min/max, power-of-two buckets), so parent-side quantiles summarize
-    the union of observations.
-    """
-    for name, payload in snapshot.items():
-        kind = payload.get("type")
-        target = f"{prefix}{name}"
-        if kind == "counter":
-            registry.counter(target).inc(int(payload["value"]))
-        elif kind == "gauge":
-            maximum = payload.get("max")
-            if maximum is not None:
-                registry.gauge(target).set(maximum)
-            registry.gauge(target).set(payload["value"])
-        elif kind == "histogram":
-            if not payload.get("count"):
-                continue
-            histogram = registry.histogram(target)
-            histogram.count += int(payload["count"])
-            histogram.total += payload["total"]
-            histogram.min_value = min(histogram.min_value, payload["min"])
-            histogram.max_value = max(histogram.max_value, payload["max"])
-            for exponent, count in payload.get("buckets", {}).items():
-                key = int(exponent)
-                histogram.buckets[key] = (
-                    histogram.buckets.get(key, 0) + int(count)
-                )
-
-
 def merge_batch(
     tracer: Tracer,
     batch: RecordBatch | None,
@@ -222,7 +184,17 @@ def merge_batch(
     )
 
     metrics = tracer.metrics
-    fold_metrics(metrics, batch.metrics, prefix="worker.")
+    # A worker counts only per-process host facts (its limb cache); the
+    # cycle-domain and recovery series are derived in the parent from
+    # the returned records (repro.obs.series).
+    for name, payload in batch.metrics.items():
+        target = f"worker.{name}"
+        if payload["type"] == "counter":
+            metrics.counter(target).inc(int(payload["value"]))
+        else:  # a gauge: keep the worker's max, then its last value
+            if payload["max"] is not None:
+                metrics.gauge(target).set(payload["max"])
+            metrics.gauge(target).set(payload["value"])
     metrics.counter("worker.batches").inc()
     metrics.counter("worker.records").inc(len(batch.events))
     metrics.counter("worker.compile_hits").inc(1 if batch.compile_hit else 0)

@@ -18,6 +18,7 @@ from repro.core.metrics import PAPRunResult
 from repro.core.pap import ParallelAutomataProcessor
 from repro.errors import ExecutionError
 from repro.exec.backend import ExecutionBackend, RunOptions
+from repro.obs.series import result_series
 from repro.obs.tracer import Observer, Tracer
 from repro.workloads.suite import BenchmarkInstance
 
@@ -110,28 +111,18 @@ class BenchmarkRun:
         """Quantile summaries of per-segment distributions, and the
         engine that stepped the flows with the reason it was chosen.
 
-        Built from the run's own results (no observer required), so it
-        is as deterministic as :meth:`to_dict` — but it
-        rides in the BENCH artifact's ``telemetry`` field, which the
-        comparison engine never gates: distribution summaries are for
-        reading trends, the exact per-quantity ``cycles`` keys are for
-        regression detection.
+        The quantiles are an observed run's published series, derived
+        from its records (:func:`~repro.obs.series.result_series`), so
+        they are as deterministic as :meth:`to_dict`; they ride in the
+        never-gated ``telemetry`` field because distributions are for
+        reading trends, the exact ``cycles`` keys for gating.
         """
-        from repro.obs.metrics import Histogram
-
-        finish = Histogram("segment.finish_cycles")
-        flows = Histogram("segment.flows_at_end")
-        attempts = Histogram("exec.attempts_per_segment")
-        for result in self.pap.segment_results:
-            finish.observe(result.metrics.finish_cycles)
-            flows.observe(result.metrics.flows_at_end)
-        health = self.pap.extra.get("health", {})
-        for count in health.get("attempts", {}).values():
-            attempts.observe(count)
+        series = result_series(self.pap).snapshot()
+        health = self.pap.health
         out = {
-            "segment_finish_cycles": finish.quantiles(),
-            "segment_flows_at_end": flows.quantiles(),
-            "segment_attempts": attempts.quantiles(),
+            "segment_finish_cycles": series["segment.finish_cycles"]["quantiles"],
+            "segment_flows_at_end": series["segment.flows_at_end"]["quantiles"],
+            "segment_attempts": series["exec.attempts_per_segment"]["quantiles"],
             # Which engine stepped the flows, and why: it moves the
             # wall, never the cycles, so it lives here, not in cycles.
             "engine": health.get("engine"),

@@ -93,26 +93,29 @@ class TestVectorTables:
             assert got == expected
 
     def test_limb_cache_budget_bounds_occupancy(self):
+        """A budget below the input's working set stops the cache part
+        way: fewer entries than without it, the charge overshoots the
+        budget by at most one entry, and the flow stays bit-exact."""
+        rng = random.Random(2)
+        data = bytes(rng.choice(b"abcdef") for _ in range(512))
+        free = CompiledAutomaton(random_ruleset_automaton(2, num_patterns=3))
+        VectorFlowExecution(free).run(data)
+        unbounded = free.vector_tables().limb_cache_stats()
+
         compiled = CompiledAutomaton(random_ruleset_automaton(2, num_patterns=3))
         tables = compiled.vector_tables()
-        tables._limb_budget = 3
-        rng = random.Random(2)
-        flow = VectorFlowExecution(compiled)
-        flow.run(bytes(rng.randrange(256) for _ in range(512)))
-        cached = sum(
-            len(table) for cls in tables._limb_tables for table in cls
-        )
-        assert cached <= 3
+        budget = tables._limb_budget = unbounded["bytes"] // 2
+        walked = FlowExecution(compiled)
+        stepped = VectorFlowExecution(compiled)
+        walked.run(data)
+        stepped.run(data)
+        stats = tables.limb_cache_stats()
+        cached = sum(len(table) for cls in tables._limb_tables for table in cls)
+        assert 0 < cached == stats["entries"] < unbounded["entries"]
+        assert budget <= stats["bytes"] < budget + 100 + (tables.num_states >> 3)
+        assert stats["exhausted"] == 1
         # Exhausted budget must not change semantics.
-        twin = FlowExecution(compiled)
-        twin.run(bytes(0 for _ in range(0)))  # align constructor state
-        fresh_set = FlowExecution(compiled)
-        fresh_vec = VectorFlowExecution(compiled)
-        data = bytes(rng.randrange(256) for _ in range(256))
-        fresh_set.run(data)
-        fresh_vec.run(data)
-        assert_twin("budget", fresh_set, fresh_vec)
-
+        assert_twin("budget", walked, stepped)
 
     def test_limb_cache_stats_count_the_miss_path(self):
         """Every miss folds successor rows; within budget each is stored

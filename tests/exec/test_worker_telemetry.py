@@ -63,7 +63,9 @@ def make_batch(rng: random.Random, pid: int):
         span = recorder.begin_span(f"work{i}", track="seg0", cycle=i * 10)
         recorder.instant(f"mark{i}", track="seg0", cycle=i * 10 + 1)
         recorder.counter("flows", rng.randrange(8), track="seg0")
-        recorder.metrics.counter("events.pushed").inc(rng.randrange(4))
+        recorder.metrics.counter("vector.limb_cache.misses").inc(
+            rng.randrange(4)
+        )
         recorder.end_span(span, cycle=i * 10 + 5)
     batch = recorder.to_batch(
         compile_hit=rng.random() < 0.5, compile_wall_ns=rng.randrange(1000)
@@ -288,6 +290,58 @@ def test_phase_totals_match_across_backends(pool, seed, data, config):
         {k: v for k, v in entry.items() if k != "wall_ns"}
         for entry in parallel.phases["per_segment"]
     ]
+
+
+#: Series no run record holds (what the host did: dispatches, pool
+#: width, the per-process limb cache, worker batches, drift checks),
+#: plus the recovery series, which a resumed run changes by design.
+NOT_CYCLE_DOMAIN = ("exec.", "worker.", "vector.", "drift.")
+
+
+@pytest.mark.parametrize(
+    "use_deactivation, dynamic",
+    [(True, "flows.deactivated"), (False, "flows.converged")],
+)
+def test_cycle_series_match_across_backends_engines_and_resume(
+    pool, tmp_path, use_deactivation, dynamic
+):
+    """The cycle-domain series are derived from the run's records, so
+    a pool run, either engine and a run replayed from its checkpoint
+    export the same names and values as a serial run."""
+    automaton = random_ruleset_automaton(
+        0, num_patterns=4, min_length=1, max_length=3
+    )
+    data = trace(seed=0, size=400)
+    config = PAPConfig(
+        geometry=board(4),
+        use_deactivation=use_deactivation,
+        convergence_period_steps=1,
+        tdm_slice_symbols=17,
+    )
+
+    def cycle_series(backend=None, **options):
+        tracer = Tracer()
+        ParallelAutomataProcessor(
+            automaton, config=config, observer=tracer
+        ).run(data, backend=backend, options=RunOptions(**options))
+        return {
+            name: payload
+            for name, payload in tracer.metrics.snapshot().items()
+            if not name.startswith(NOT_CYCLE_DOMAIN)
+        }
+
+    serial = cycle_series(checkpoint=str(tmp_path))
+    for name in ("flows.spawned", "events.pushed", dynamic, "pap.runs"):
+        assert serial[name]["value"] > 0, name
+    assert serial["segment.finish_cycles"]["count"] > 1
+    others = {
+        "process": cycle_series(pool),
+        "set": cycle_series(engine="set"),
+        "vector": cycle_series(engine="vector"),
+        "resumed": cycle_series(checkpoint=str(tmp_path), resume=True),
+    }
+    for way, series in others.items():
+        assert series == serial, way
 
 
 class TestMergeUnderFaults:

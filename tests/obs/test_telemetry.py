@@ -302,6 +302,16 @@ class TestCrashBundle:
         injected = health["injected_faults"]
         assert {"segment": 1, "attempt": 1, "kind": "crash"} in injected
 
+    def test_bundle_metrics_carry_the_recovery_series(self, tmp_path):
+        """The recovery series are published from the settled health
+        before the bundle is written; the failing segment's attempt
+        counts too."""
+        path, recorder = self._crash_run(tmp_path)
+        metrics = recorder.crash_bundle["metrics"]
+        assert metrics["exec.crashes"]["value"] == 1
+        assert metrics["exec.faults_injected"]["value"] == 1
+        assert metrics["exec.attempts_per_segment"]["count"] == 2
+
     def test_ledger_has_failure_record_and_stays_valid(self, tmp_path):
         path, recorder = self._crash_run(tmp_path)
         records = read_ledger(str(path))
