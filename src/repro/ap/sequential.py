@@ -9,15 +9,11 @@ baseline AP and PAP").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.automata.anml import Automaton
-from repro.automata.execution import (
-    CompiledAutomaton,
-    ExecutionResult,
-    Report,
-    run_automaton,
-)
+from repro.automata.execution import CompiledAutomaton, Report
+from repro.automata.lazy_dfa import LazyDfaStats, run_lazy_dfa
 from repro.ap.timing import DEFAULT_TIMING, TimingModel
 from repro.host.reporting import report_processing_cycles
 
@@ -30,6 +26,16 @@ class BaselineResult:
     symbol_cycles: int
     host_cycles: int
     transitions: int
+    reference: LazyDfaStats = field(compare=False)
+    """What the reference executor's memo did: DFA states, hits,
+    misses, memo bytes, flushes, where memoizing stopped and why.  Host
+    facts that move the wall, never the cycles."""
+
+    @property
+    def reference_reason(self) -> str:
+        """The executor that ran the reference check, and what its memo
+        did."""
+        return f"lazy-dfa: {self.reference.reason}"
 
     @property
     def total_cycles(self) -> int:
@@ -45,11 +51,17 @@ def run_sequential(
     *,
     timing: TimingModel = DEFAULT_TIMING,
 ) -> BaselineResult:
-    """Execute the baseline: one flow, the whole input, start to end."""
-    result: ExecutionResult = run_automaton(automaton, data)
+    """Execute the baseline: one flow, the whole input, start to end.
+
+    The flow runs on :func:`~repro.automata.lazy_dfa.run_lazy_dfa`, an
+    executor that shares no stepping code with either PAP engine, so
+    the verified run's report check never trusts the code it checks.
+    """
+    result, stats = run_lazy_dfa(automaton, data)
     return BaselineResult(
         reports=result.report_set,
         symbol_cycles=len(data),
         host_cycles=report_processing_cycles(len(result.reports)),
         transitions=result.transitions,
+        reference=stats,
     )

@@ -317,6 +317,8 @@ def _run_summary(run, bench, args) -> dict:
         "backend": args.backend,
         "engine": pap.health.get("engine"),
         "engine_reason": pap.health.get("engine_reason"),
+        "reference": run.baseline.reference.to_dict(),
+        "reference_reason": run.baseline.reference_reason,
         "use_fiv": not args.no_fiv,
         "segments": pap.num_segments,
         "baseline_cycles": run.baseline.total_cycles,
@@ -356,6 +358,11 @@ def _print_run_text(summary: dict) -> None:
         )
     if summary["engine_reason"]:
         print(f"engine           : {summary['engine_reason']}")
+    memo = summary["reference"]
+    print(
+        f"reference        : {summary['reference_reason']} "
+        f"({memo['dfa_states']} DFA states, {memo['hit_share']:.1%} hits)"
+    )
     print(f"baseline cycles  : {summary['baseline_cycles']}")
     print(f"PAP cycles       : {summary['pap_cycles']}")
     print(

@@ -68,8 +68,6 @@ class SegmentTaskResult:
 
 _cached_token: object = None
 _cached_scheduler: SegmentScheduler | None = None
-_cache_hits: int = 0
-_cache_misses: int = 0
 
 
 def _scheduler_for(
@@ -82,7 +80,7 @@ def _scheduler_for(
     batches can expose the one-slot cache behaviour — pool reuse across
     runs shows up as hits, alternating tokens as thrash.
     """
-    global _cached_token, _cached_scheduler, _cache_hits, _cache_misses
+    global _cached_token, _cached_scheduler
     if _cached_scheduler is None or _cached_token != token:
         start = time.perf_counter_ns()
         _cached_scheduler = SegmentScheduler(
@@ -93,9 +91,7 @@ def _scheduler_for(
             engine=payload.engine,
         )
         _cached_token = token
-        _cache_misses += 1
         return _cached_scheduler, False, time.perf_counter_ns() - start
-    _cache_hits += 1
     return _cached_scheduler, True, 0
 
 
@@ -163,10 +159,7 @@ def run_segment_task(
     batch = None
     if recorder is not None:
         batch = recorder.to_batch(
-            compile_hit=cache_hit,
-            compile_wall_ns=compile_wall_ns,
-            compile_hits=_cache_hits,
-            compile_misses=_cache_misses,
+            compile_hit=cache_hit, compile_wall_ns=compile_wall_ns
         )
     return SegmentTaskResult(
         result=result,

@@ -72,10 +72,6 @@ class RecordBatch:
     """Whether the one-slot scheduler cache served this task."""
     compile_wall_ns: int = 0
     """Wall spent building the scheduler on a miss (0 on a hit)."""
-    compile_hits: int = 0
-    """Lifetime cache hits in this worker process (token reuse)."""
-    compile_misses: int = 0
-    """Lifetime cache misses in this worker process (token thrash)."""
 
     @property
     def wall_ns(self) -> int:
@@ -101,8 +97,6 @@ class RecordingObserver(Tracer):
         *,
         compile_hit: bool = False,
         compile_wall_ns: int = 0,
-        compile_hits: int = 0,
-        compile_misses: int = 0,
     ) -> RecordBatch:
         """Seal the capture for shipping inside ``SegmentTaskResult``."""
         return RecordBatch(
@@ -114,8 +108,6 @@ class RecordingObserver(Tracer):
             phases=self.phases.items(),
             compile_hit=compile_hit,
             compile_wall_ns=compile_wall_ns,
-            compile_hits=compile_hits,
-            compile_misses=compile_misses,
         )
 
 
@@ -178,8 +170,6 @@ def merge_batch(
             "worker_wall_ms": round(batch.wall_ns / 1e6, 3),
             "compile_hit": batch.compile_hit,
             "compile_wall_ms": round(batch.compile_wall_ns / 1e6, 3),
-            "compile_hits": batch.compile_hits,
-            "compile_misses": batch.compile_misses,
         },
     )
 

@@ -108,8 +108,9 @@ class BenchmarkRun:
         }
 
     def telemetry_dict(self) -> dict:
-        """Quantile summaries of per-segment distributions, and the
-        engine that stepped the flows with the reason it was chosen.
+        """Quantile summaries of per-segment distributions, the engine
+        that stepped the flows with the reason it was chosen, and what
+        the reference check's memo did.
 
         The quantiles are an observed run's published series, derived
         from its records (:func:`~repro.obs.series.result_series`), so
@@ -127,6 +128,9 @@ class BenchmarkRun:
             # wall, never the cycles, so it lives here, not in cycles.
             "engine": health.get("engine"),
             "engine_reason": health.get("engine_reason"),
+            # The same holds for the reference check's executor.
+            "reference": self.baseline.reference.to_dict(),
+            "reference_reason": self.baseline.reference_reason,
         }
         phases = self.pap.extra.get("phases")
         if phases:

@@ -253,7 +253,6 @@ class TestWorkerCapture:
         assert first.batch.compile_wall_ns > 0
         assert second.batch.compile_hit is True
         assert second.batch.compile_wall_ns == 0
-        assert second.batch.compile_hits > first.batch.compile_hits
 
 
 configs = st.builds(

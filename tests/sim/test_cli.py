@@ -64,6 +64,7 @@ class TestCommands:
         assert "speedup" in out
         assert "verified OK" in out
         assert "engine           : vector: 2 limbs <= 32" in out
+        assert "reference        : lazy-dfa: memo kept to the end (" in out
 
     @pytest.mark.parametrize("engine", ["auto", "set", "vector"])
     def test_run_summary_names_the_engine(self, capsys, engine):
@@ -93,6 +94,11 @@ class TestCommands:
             else f"{engine}: requested"
         )
         assert summary["reports_match"] is True
+        # The reference check runs its own executor whatever the engine.
+        assert summary["reference_reason"] == "lazy-dfa: memo kept to the end"
+        memo = summary["reference"]
+        assert memo["hits"] + memo["misses"] == summary["trace_bytes"] - 1
+        assert memo["dfa_states"] > 0 and memo["stopped_at"] is None
 
     def test_run_rejects_workers_without_pool(self, capsys):
         """--workers sizes a process pool; on an in-process backend it

@@ -75,6 +75,23 @@ class TestRunBenchmark:
         assert cycles["speedup"] == run.speedup
         assert cycles["reports_match"] is True
 
+    def test_reference_memo_in_telemetry_not_cycles(self, run):
+        """What the reference check's memo did moves the wall, never the
+        cycles: it rides in BENCH telemetry, outside the gated payload."""
+        from repro.perf.artifact import BenchmarkRecord
+
+        record = BenchmarkRecord.from_run(run)
+        memo = record.telemetry["reference"]
+        assert memo == run.baseline.reference.to_dict()
+        assert memo["hits"] + memo["misses"] == run.trace_bytes - 1
+        assert memo["dfa_states"] > 0 and memo["memo_bytes"] > 0
+        assert record.telemetry["reference_reason"] == (
+            "lazy-dfa: memo kept to the end"
+        )
+        assert not any(
+            "reference" in key or "memo" in key for key in record.cycles
+        )
+
     def test_to_dict_is_deterministic(self, bench):
         first = run_benchmark(bench, ranks=1, trace_bytes=8_192)
         second = run_benchmark(bench, ranks=1, trace_bytes=8_192)
