@@ -7,8 +7,8 @@ The package implements, from scratch:
   ANML-style automata, a functional executor) — :mod:`repro.automata`;
 * a regex front-end compiling rulesets to homogeneous automata —
   :mod:`repro.regex`;
-* a model of Micron's D480 Automata Processor (geometry, STE columns,
-  routing, state-vector cache, flows, timing) — :mod:`repro.ap`;
+* a model of Micron's D480 Automata Processor (geometry, placement,
+  state-vector cache, timing, the sequential baseline) — :mod:`repro.ap`;
 * the paper's contribution: enumerative parallel NFA execution with
   range-guided partitioning, flow merging, convergence/deactivation
   checks, and overlapped host composition — :mod:`repro.core`;
@@ -51,7 +51,6 @@ from repro.ap import (
     FOUR_RANKS,
     ONE_RANK,
     BaselineResult,
-    Board,
     BoardGeometry,
     TimingModel,
     run_sequential,
@@ -71,7 +70,6 @@ __all__ = [
     "Automaton",
     "AutomatonAnalysis",
     "BaselineResult",
-    "Board",
     "BoardGeometry",
     "CharClass",
     "DEFAULT_CONFIG",

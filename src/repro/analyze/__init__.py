@@ -1,8 +1,9 @@
 """Predictive static analysis over compiled automata and segment plans.
 
 ``repro.analyze`` is the semantic layer above :mod:`repro.lint`: where
-the lint pass *checks* facts post hoc (AP001–AP208), this package
-*derives* them and rolls them into predictions and plans:
+the lint pass *checks* facts post hoc (AP001–AP208; the AP2xx rules
+are the one capacity check), this package *derives* them and rolls
+them into predictions:
 
 * :mod:`repro.analyze.facts` — a dataflow/abstract-interpretation pass
   over the NFA and the segment plan: per-component range widths under
@@ -12,13 +13,11 @@ the lint pass *checks* facts post hoc (AP001–AP208), this package
   interpretation per enumerated segment chained through the paper's
   availability recurrence, predicting enumeration cycles and parallel
   speedup *before* running the simulator.
-* :mod:`repro.analyze.planner` — the constructive capacity planner:
-  first-fit-decreasing packing of connected components into half-core,
-  device, and board budgets that *produces* placements satisfying the
-  AP201–AP208 capacity rules by construction.
-* :mod:`repro.analyze.report` — prediction-vs-actual comparison against
-  committed ``BENCH_*.json`` artifacts with a tolerance gate (the CI
-  ``analysis-gate`` job).
+* :mod:`repro.analyze.report` — one row per workload, stating the
+  half-core footprint the run uses and the segment count it implies
+  (:func:`repro.ap.placement.segments_available`), and the
+  prediction-vs-actual comparison against committed ``BENCH_*.json``
+  artifacts with a tolerance gate (the CI ``analysis-gate`` job).
 """
 
 from repro.analyze.cost import (
@@ -36,7 +35,6 @@ from repro.analyze.facts import (
     gather_facts,
     profile_trace,
 )
-from repro.analyze.planner import CapacityPlan, HalfCoreBin, plan_capacity
 from repro.analyze.report import (
     AnalysisReport,
     ComparisonRow,
@@ -49,11 +47,9 @@ from repro.analyze.report import (
 __all__ = [
     "AnalysisReport",
     "BoundaryFacts",
-    "CapacityPlan",
     "ComparisonRow",
     "ComponentFacts",
     "FlowDivergence",
-    "HalfCoreBin",
     "SegmentPrediction",
     "TraceProfile",
     "WorkloadAnalysis",
@@ -64,7 +60,6 @@ __all__ = [
     "compare_to_baseline",
     "divergence_depth",
     "gather_facts",
-    "plan_capacity",
     "predict_workload",
     "profile_trace",
 ]

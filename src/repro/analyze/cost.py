@@ -30,7 +30,6 @@ from typing import Any
 
 from repro.analyze.facts import (
     BoundaryFacts,
-    TraceProfile,
     WorkloadFacts,
     boundary_facts,
     gather_facts,

@@ -3,10 +3,9 @@
 The SARIF form reuses :mod:`repro.lint.sarif` — analysis findings are
 expressed as plain :class:`~repro.lint.diagnostics.Diagnostic` values
 under ``AN``-prefixed codes (``AN001`` prediction summary, ``AN101``
-out-of-tolerance prediction, ``AN102`` missing baseline entry), plus
-the capacity planner's violations under their original ``AP2xx`` codes.
-One artifact therefore carries both the predictions and everything
-that gates on them.
+out-of-tolerance prediction, ``AN102`` missing baseline entry).  One
+artifact therefore carries both the predictions and everything that
+gates on them; capacity findings are ``repro lint``'s (AP201–AP208).
 """
 
 from __future__ import annotations
@@ -48,16 +47,6 @@ def analysis_diagnostics(report: AnalysisReport) -> list[Diagnostic]:
                 data=prediction.to_dict() | {"key": workload.key},
             )
         )
-        for violation in workload.plan.violations:
-            diagnostics.append(
-                Diagnostic(
-                    code=violation.code,
-                    rule="capacity-plan-violation",
-                    severity=Severity.ERROR,
-                    message=f"capacity plan: {violation.message}",
-                    automaton=workload.name,
-                )
-            )
         row = rows.get(workload.key)
         if row is not None and not row.passed:
             diagnostics.append(
@@ -102,19 +91,12 @@ def render_analysis_text(report: AnalysisReport) -> str:
     rows = {row.key: row for row in report.comparison}
     for workload in report.workloads:
         prediction = workload.prediction
-        plan = workload.plan
-        plan_text = (
-            f"{plan.half_cores}hc ok"
-            if plan.feasible
-            else f"{plan.half_cores}hc VIOLATIONS:"
-            + ",".join(v.code for v in plan.violations)
-        )
         line = (
             f"{workload.name:<18}{prediction.num_segments:>9}"
             f"{workload.boundary_flows:>7}"
             f"{prediction.predicted_cycles:>10}"
             f"{prediction.speedup:>8.2f}x{prediction.trials:>7}  "
-            f"{plan_text}"
+            f"{workload.half_cores}hc"
         )
         if prediction.golden_fallback:
             line += "  [golden fallback]"
@@ -134,11 +116,6 @@ def render_analysis_text(report: AnalysisReport) -> str:
             f"comparison: {len(report.comparison)} workload(s), "
             f"max |error| {report.max_abs_error:.2%} vs tolerance "
             f"{report.tolerance:.0%} -> {verdict}"
-        )
-    infeasible = report.infeasible
-    if infeasible:
-        lines.append(
-            f"infeasible capacity plans: {', '.join(infeasible)}"
         )
     return "\n".join(lines)
 

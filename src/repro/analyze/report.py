@@ -1,9 +1,9 @@
 """Suite-level analysis and the prediction-vs-actual tolerance gate.
 
-:func:`analyze_suite` runs the fact pass, the cost model, and the
-capacity planner over the evaluation benchmarks at exactly the budgets
-``repro bench`` uses (same scale/seed/trace parameters, same heavy-
-workload trace divisors), so the resulting :class:`AnalysisReport` is
+:func:`analyze_suite` runs the fact pass and the cost model over the
+evaluation benchmarks at exactly the budgets ``repro bench`` uses (same
+scale/seed/trace parameters, same heavy-workload trace divisors, same
+half-core footprint), so the resulting :class:`AnalysisReport` is
 directly comparable to a committed ``BENCH_*.json`` artifact.
 :func:`compare_to_baseline` performs that comparison and applies the
 documented tolerance — the CI ``analysis-gate`` job fails when any
@@ -21,7 +21,6 @@ from typing import Any, Callable, Mapping
 
 from repro.analyze.cost import WorkloadPrediction, predict_workload
 from repro.analyze.facts import gather_facts
-from repro.analyze.planner import CapacityPlan, plan_capacity
 from repro.ap.geometry import BoardGeometry
 from repro.ap.placement import segments_available
 from repro.automata.analysis import AutomatonAnalysis
@@ -44,7 +43,7 @@ headroom for profile jitter without letting real model regressions
 through.
 """
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,9 @@ class WorkloadAnalysis:
 
     name: str
     ranks: int
+    half_cores: int
+    """The FSM footprint the run places (``bench.half_cores``); the
+    segment count is ``prediction.num_segments``."""
     trace_bytes: int
     num_states: int
     num_components: int
@@ -60,7 +62,6 @@ class WorkloadAnalysis:
     boundary_flows: int
     unit_bound: int
     prediction: WorkloadPrediction
-    plan: CapacityPlan
 
     @property
     def key(self) -> str:
@@ -71,6 +72,7 @@ class WorkloadAnalysis:
         return {
             "name": self.name,
             "ranks": self.ranks,
+            "half_cores": self.half_cores,
             "trace_bytes": self.trace_bytes,
             "num_states": self.num_states,
             "num_components": self.num_components,
@@ -78,7 +80,6 @@ class WorkloadAnalysis:
             "boundary_flows": self.boundary_flows,
             "unit_bound": self.unit_bound,
             "prediction": self.prediction.to_dict(),
-            "plan": self.plan.to_dict(),
         }
 
 
@@ -153,13 +154,6 @@ class AnalysisReport:
             return 0.0
         return max(abs(row.error) for row in self.comparison)
 
-    @property
-    def infeasible(self) -> tuple[str, ...]:
-        """Workloads whose capacity plan has violations."""
-        return tuple(
-            w.name for w in self.workloads if not w.plan.feasible
-        )
-
     def workload(self, name: str) -> WorkloadAnalysis:
         for w in self.workloads:
             if w.name == name:
@@ -179,7 +173,6 @@ class AnalysisReport:
             },
             "summary": {
                 "workloads": len(self.workloads),
-                "infeasible": list(self.infeasible),
                 "total_trials": sum(
                     w.prediction.trials for w in self.workloads
                 ),
@@ -246,13 +239,11 @@ def analyze_workload(
         facts=facts,
         use_trials=use_trials,
     )
-    plan = plan_capacity(
-        bench.automaton, geometry=board, analysis=analysis
-    )
     boundary = facts.boundary(facts.partition_symbol, at_offset_zero=False)
     return WorkloadAnalysis(
         name=bench.name,
         ranks=ranks,
+        half_cores=bench.half_cores,
         trace_bytes=len(data),
         num_states=facts.num_states,
         num_components=facts.num_components,
@@ -260,7 +251,6 @@ def analyze_workload(
         boundary_flows=boundary.flow_count,
         unit_bound=boundary.unit_bound,
         prediction=prediction,
-        plan=plan,
     )
 
 

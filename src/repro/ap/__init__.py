@@ -1,7 +1,8 @@
-"""Automata Processor hardware model: geometry, devices, the state-vector
-cache (slot occupancy and traffic; the flows themselves are run by
-:mod:`repro.core.scheduler`), multi-stream tenancy, timing, placement,
-and the sequential baseline."""
+"""Automata Processor hardware model: geometry, placement (the footprint
+rule that sets the segment count), the state-vector cache (slot
+occupancy and traffic; the flows themselves are run by
+:mod:`repro.core.scheduler`), counters, output events, timing, and the
+sequential baseline."""
 
 from repro.ap.counters import (
     BooleanElement,
@@ -10,9 +11,7 @@ from repro.ap.counters import (
     CounterEvent,
     CounterMode,
 )
-from repro.ap.device import Board, Device, HalfCore
 from repro.ap.events import OutputEvent, OutputEventBuffer
-from repro.ap.tenancy import MultiStreamScheduler, StreamJob, TenancyResult
 from repro.ap.geometry import (
     FOUR_RANKS,
     ONE_RANK,
@@ -22,15 +21,12 @@ from repro.ap.geometry import (
     BoardGeometry,
 )
 from repro.ap.placement import Placement, place_automaton, segments_available
-from repro.ap.routing import RoutingMatrix
 from repro.ap.sequential import BaselineResult, run_sequential
 from repro.ap.state_vector import StateVectorCache
-from repro.ap.ste import SteArray, SteColumn
 from repro.ap.timing import DEFAULT_TIMING, SYMBOL_CYCLE_NS, TimingModel
 
 __all__ = [
     "BaselineResult",
-    "Board",
     "BoardGeometry",
     "BooleanElement",
     "CounterBank",
@@ -38,24 +34,16 @@ __all__ = [
     "CounterEvent",
     "CounterMode",
     "DEFAULT_TIMING",
-    "Device",
-    "MultiStreamScheduler",
-    "StreamJob",
-    "TenancyResult",
     "FOUR_RANKS",
-    "HalfCore",
     "ONE_RANK",
     "OutputEvent",
     "OutputEventBuffer",
     "Placement",
-    "RoutingMatrix",
     "STATE_VECTOR_BITS",
     "STATE_VECTOR_CACHE_ENTRIES",
     "STES_PER_HALF_CORE",
     "SYMBOL_CYCLE_NS",
     "StateVectorCache",
-    "SteArray",
-    "SteColumn",
     "TimingModel",
     "place_automaton",
     "run_sequential",

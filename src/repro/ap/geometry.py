@@ -89,8 +89,3 @@ class BoardGeometry:
 
 ONE_RANK = BoardGeometry(ranks=1)
 FOUR_RANKS = BoardGeometry(ranks=4)
-
-
-def state_vector_bits() -> int:
-    """Size of one state vector in bits (59,936 on the D480)."""
-    return STATE_VECTOR_BITS

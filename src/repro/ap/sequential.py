@@ -46,10 +46,7 @@ class BaselineResult:
 
 
 def run_sequential(
-    automaton: Automaton | CompiledAutomaton,
-    data: bytes,
-    *,
-    timing: TimingModel = DEFAULT_TIMING,
+    automaton: Automaton | CompiledAutomaton, data: bytes
 ) -> BaselineResult:
     """Execute the baseline: one flow, the whole input, start to end.
 

@@ -23,6 +23,11 @@ from dataclasses import dataclass, field
 from repro.ap.geometry import STATE_VECTOR_CACHE_ENTRIES
 from repro.errors import CapacityError
 
+LEVELS = frozenset({"capacity", "occupied", "peak_occupancy"})
+"""The :meth:`StateVectorCache.stats` keys that are levels, not counts:
+a run folds its segments' levels by max and exports them as gauges, and
+sums the other keys and exports them as counters."""
+
 
 @dataclass
 class StateVectorCache:

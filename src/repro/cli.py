@@ -1125,10 +1125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(render_analysis_sarif(report))
     else:
         print(render_analysis_text(report))
-    failed = (report.compared and not report.passed) or bool(
-        report.infeasible
-    )
-    return 1 if failed else 0
+    return 0 if report.passed else 1
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -1556,12 +1553,13 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="predictive parallelizability analysis (repro.analyze)",
         description=(
-            "Run the semantic static-analysis pass: divergence facts, "
-            "the cycle cost model (predicted enumeration cycles and "
-            "speedup per workload), and the constructive capacity "
-            "planner. With --baseline, predictions are gated against a "
-            "committed BENCH_*.json artifact. Exit codes: 0 clean, 1 "
-            "gate failure or infeasible plan, 2 usage."
+            "Run the semantic static-analysis pass: divergence facts "
+            "and the cycle cost model (predicted enumeration cycles and "
+            "speedup per workload), each row stating the half-core "
+            "footprint the run places. With --baseline, predictions are "
+            "gated against a committed BENCH_*.json artifact. Exit "
+            "codes: 0 clean, 1 out-of-tolerance prediction or workload "
+            "missing from the baseline, 2 usage."
         ),
     )
     analyze_parser.add_argument(

@@ -2,7 +2,6 @@
 
 from repro.core.composition import ComposedSegment, compose_segment, unit_truth_map
 from repro.core.config import DEFAULT_CONFIG, PAPConfig
-from repro.core.deployment import Deployment, SegmentDeployment, deploy_plan
 from repro.core.enumeration import EnumerationUnit, build_units
 from repro.core.merging import (
     FlowPlan,
@@ -39,7 +38,6 @@ __all__ = [
     "ASG_FLOW_ID",
     "ComposedSegment",
     "DEFAULT_CONFIG",
-    "Deployment",
     "EnumerationUnit",
     "FlowPlan",
     "FlowReductionStats",
@@ -52,7 +50,6 @@ __all__ = [
     "PartitionSymbolChoice",
     "PlannedFlow",
     "RangeProfile",
-    "SegmentDeployment",
     "SegmentMetrics",
     "SegmentPlan",
     "SegmentResult",
@@ -61,7 +58,6 @@ __all__ = [
     "SpeculativeAutomataProcessor",
     "SpeculativeRunResult",
     "build_units",
-    "deploy_plan",
     "choose_partition_symbol",
     "compose_segment",
     "enumeration_range",

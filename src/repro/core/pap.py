@@ -27,6 +27,7 @@ from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton
 from repro.automata.execution import CompiledAutomaton
 from repro.ap.placement import place_automaton, segments_available
+from repro.ap.state_vector import LEVELS as SVC_LEVELS
 from repro.core.config import DEFAULT_CONFIG, PAPConfig
 from repro.core.enumeration import build_units
 from repro.core.merging import FlowReductionStats, pack_flows
@@ -358,7 +359,7 @@ class ParallelAutomataProcessor:
         svc_totals: dict[str, int] = {}
         for result in segment_results:
             for key, value in result.metrics.svc_stats.items():
-                if key in ("peak_occupancy", "capacity", "occupied"):
+                if key in SVC_LEVELS:
                     svc_totals[key] = max(svc_totals.get(key, 0), value)
                 else:
                     svc_totals[key] = svc_totals.get(key, 0) + value

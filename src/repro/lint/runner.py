@@ -3,11 +3,12 @@
 ``run_lint`` executes every registered rule (optionally restricted to
 families) over one automaton and returns a :class:`LintReport`.
 ``lint_gate`` is the opt-out pre-deployment check wired into
-:class:`repro.core.pap.ParallelAutomataProcessor` and
-:func:`repro.core.deployment.deploy_plan`: it raises
+:class:`repro.core.pap.ParallelAutomataProcessor`: it raises
 :class:`~repro.errors.LintError` when error-level diagnostics are
 present, so malformed automata fail at load time instead of deep inside
-execution.
+execution.  It refuses the errors of whichever families it runs; the
+PAP gate runs the structural family.  The AP201–AP208 rules are the one
+capacity check, run by ``repro lint``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.ap.state_vector import LEVELS as SVC_LEVELS
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -41,7 +42,10 @@ def publish_run(registry: MetricsRegistry, result: Any) -> None:
     if not registry.enabled:
         return
     for key, value in result.extra["svc"].items():
-        registry.gauge(f"svc.{key}").set(value)
+        if key in SVC_LEVELS:
+            registry.gauge(f"svc.{key}").set(value)
+        else:
+            registry.counter(f"svc.{key}").inc(value)
     registry.gauge("plan.max_flows").set(
         max((len(plan.flows) for plan in result.plans), default=0)
     )

@@ -194,7 +194,7 @@ def run_benchmark(
     config = replace(config, geometry=board, timing=timing)
     data = benchmark.trace(trace_bytes, trace_seed)
 
-    baseline = run_sequential(benchmark.automaton, data, timing=config.timing)
+    baseline = run_sequential(benchmark.automaton, data)
     pap = ParallelAutomataProcessor(
         benchmark.automaton,
         config=config,

@@ -8,6 +8,8 @@ import pytest
 
 from repro.analyze.cost import WorkloadPrediction, predict_workload
 from repro.analyze.report import DEFAULT_TOLERANCE, analyze_workload
+from repro.ap.geometry import BoardGeometry
+from repro.ap.placement import segments_available
 from repro.automata.anml import Automaton, StartKind
 from repro.automata.charclass import CharClass
 from repro.sim.runner import run_benchmark
@@ -44,10 +46,20 @@ class TestCommittedArtifact:
             assert row["passed"] is True
             assert abs(row["error"]) <= DEFAULT_TOLERANCE
 
-    def test_no_infeasible_capacity_plans(self, payload):
-        assert payload["summary"]["infeasible"] == []
+    def test_rows_state_the_run_footprint(self, payload):
+        """Each row's footprint is the one the run places, and its
+        segment count is Table 1's rule applied to that footprint."""
+        parameters = payload["parameters"]
         for record in payload["workloads"].values():
-            assert record["plan"]["feasible"] is True
+            bench = build_benchmark(
+                record["name"],
+                scale=parameters["scale"],
+                seed=parameters["seed"],
+            )
+            assert record["half_cores"] == bench.half_cores
+            assert record["prediction"]["num_segments"] == segments_available(
+                BoardGeometry(ranks=record["ranks"]), record["half_cores"]
+            )
 
 
 class TestLivePrediction:

@@ -72,7 +72,7 @@ class TestSequentialBaseline:
 
     def test_custom_timing(self, compiled):
         slow = TimingModel(symbol_cycle_ns=15.0)
-        result = run_sequential(compiled, b"x" * 10, timing=slow)
+        result = run_sequential(compiled, b"x" * 10)
         assert result.seconds(slow) == pytest.approx(
             result.total_cycles * 15e-9
         )

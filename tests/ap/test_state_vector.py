@@ -1,67 +1,9 @@
-"""Unit tests for the STE column model and the state-vector cache."""
+"""Unit tests for the state-vector cache."""
 
 import pytest
 
 from repro.ap.state_vector import StateVectorCache
-from repro.ap.ste import SteArray, SteColumn
-from repro.automata.charclass import CharClass
-from repro.errors import AutomatonError, CapacityError
-
-
-class TestSteColumn:
-    def test_program_and_row_read(self):
-        column = SteColumn()
-        column.program(CharClass("ab"))
-        assert column.row_read(ord("a"))
-        assert not column.row_read(ord("c"))
-
-    def test_one_hot_semantics_matches_charclass(self):
-        # The bit-level column and the CharClass mask must agree on all
-        # 256 rows (the paper's example: 'a' -> row 97 set).
-        label = CharClass.range("0", "9") | CharClass.single(97)
-        column = SteColumn()
-        column.program(label)
-        for symbol in range(256):
-            assert column.row_read(symbol) == (symbol in label)
-        assert column.to_charclass() == label
-
-    def test_row97_for_lowercase_a(self):
-        column = SteColumn()
-        column.program(CharClass.single("a"))
-        assert column.rows[97] == 1
-        assert column.popcount() == 1
-
-    def test_reprogram_clears(self):
-        column = SteColumn()
-        column.program(CharClass("abc"))
-        column.program(CharClass("x"))
-        assert column.popcount() == 1
-
-    def test_bad_row_address(self):
-        with pytest.raises(AutomatonError):
-            SteColumn().row_read(256)
-
-
-class TestSteArray:
-    def test_broadcast_match(self):
-        array = SteArray(8)
-        array.program_column(0, CharClass("a"))
-        array.program_column(3, CharClass("ab"))
-        array.program_column(5, CharClass("b"))
-        assert array.match_word(ord("a")) == {0, 3}
-        assert array.match_word(ord("b")) == {3, 5}
-
-    def test_unprogrammed_columns_never_match(self):
-        array = SteArray(4)
-        assert array.match_word(ord("a")) == set()
-        assert array.programmed == 0
-
-    def test_capacity_enforced(self):
-        array = SteArray(2)
-        with pytest.raises(AutomatonError):
-            array.program_column(2, CharClass("a"))
-        with pytest.raises(AutomatonError):
-            SteArray(0)
+from repro.errors import CapacityError
 
 
 class TestStateVectorCache:

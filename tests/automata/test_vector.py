@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 
 from repro.automata.execution import CompiledAutomaton, FlowExecution
 from repro.automata.random_gen import random_automaton, random_ruleset_automaton
-from repro.automata.vector import (
-    VectorFlowExecution,
-    VectorTables,
-)
+from repro.automata.vector import VectorFlowExecution
 from repro.workloads.suite import build_benchmark
 
 

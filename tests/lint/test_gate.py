@@ -1,5 +1,5 @@
-"""The pre-deployment lint gate: PAP and deploy_plan refuse automata
-with error-level structural findings unless linting is opted out.
+"""The pre-deployment lint gate: PAP refuses automata with error-level
+structural findings unless linting is opted out.
 
 ``Automaton.validate`` already rejects the always-fatal shapes (no
 starts, empty labels, dangling edges) at every pipeline entry, so the
@@ -11,14 +11,12 @@ import dataclasses
 
 import pytest
 
-from repro.ap.device import Board
 from repro.ap.geometry import BoardGeometry
 from repro.automata import builder
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.anml import Automaton, StartKind
 from repro.automata.charclass import CharClass
 from repro.core.config import PAPConfig
-from repro.core.deployment import deploy_plan
 from repro.core.pap import ParallelAutomataProcessor
 from repro.errors import LintError
 from repro.lint import REGISTRY, Severity, lint_gate, run_lint
@@ -101,34 +99,6 @@ class TestPapGate:
             island_automaton(), config=PAPConfig(geometry=TINY)
         )
         assert pap.automaton.name == "island"
-
-
-class TestDeployGate:
-    def _plan(self, automaton):
-        pap = ParallelAutomataProcessor(
-            automaton, config=PAPConfig(geometry=TINY), lint=False
-        )
-        return pap.plan(b"abcabcabc" * 32)
-
-    def test_deploy_gate_refuses_errors(self, strict_unreachable):
-        automaton = island_automaton()
-        plan = self._plan(automaton)
-        with pytest.raises(LintError, match="lint gate"):
-            deploy_plan(Board(geometry=TINY), automaton, plan)
-
-    def test_deploy_lint_opt_out(self, strict_unreachable):
-        automaton = island_automaton()
-        plan = self._plan(automaton)
-        deployment = deploy_plan(
-            Board(geometry=TINY), automaton, plan, lint=False
-        )
-        assert deployment is not None
-
-    def test_deploy_accepts_good_automaton(self):
-        automaton = good_automaton()
-        plan = self._plan(automaton)
-        deployment = deploy_plan(Board(geometry=TINY), automaton, plan)
-        assert deployment is not None
 
 
 class TestStaleAnalysisGate:

@@ -25,7 +25,6 @@ from repro.obs.phases import (
     PhaseAccumulator,
     hot_phase,
     render_phase_profile,
-    summarize_run_phases,
     to_folded,
     to_speedscope,
     validate_speedscope,

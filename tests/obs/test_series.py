@@ -16,6 +16,7 @@ from repro.core.config import PAPConfig
 from repro.core.pap import ParallelAutomataProcessor
 from repro.exec import FaultPlan, RetryPolicy, RunOptions
 from repro.obs import NULL_REGISTRY, Tracer
+from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
 from repro.obs.series import (
     publish_health,
     publish_run,
@@ -84,6 +85,28 @@ def test_counts_equal_their_records(use_deactivation):
     assert series["flows.spawned"]["value"] == sum(
         len(plan.flows) + asg for plan in result.plans if not plan.is_golden
     )
+
+
+def test_svc_counts_are_counters_and_levels_gauges():
+    """The cache's six traffic counts are summed over segments, so they
+    export as counters; its three levels and ``plan.max_flows`` stay
+    gauges.  The ten facts are 14 OpenMetrics samples: six ``_total``s
+    and four gauge/``_max`` pairs."""
+    _, _, tracer = traced_run(True)
+    series = tracer.metrics.snapshot()
+    for key in ("saves", "restores", "hits", "misses", "invalidations",
+                "comparisons"):
+        assert series[f"svc.{key}"]["type"] == "counter"
+    for name in ("svc.capacity", "svc.occupied", "svc.peak_occupancy",
+                 "plan.max_flows"):
+        assert series[name]["type"] == "gauge"
+    samples = parse_openmetrics(render_openmetrics(series))
+    assert samples["repro_svc_saves_total"] == series["svc.saves"]["value"]
+    assert "repro_svc_saves_max" not in samples
+    assert "repro_svc_peak_occupancy_max" in samples
+    assert len(
+        [s for s in samples if s.startswith(("repro_svc_", "repro_plan_"))]
+    ) == 14
 
 
 def test_disabled_registry_records_nothing():

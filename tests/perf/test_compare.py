@@ -1,7 +1,5 @@
 """Tests for the dual-domain comparison engine."""
 
-import pytest
-
 from repro.perf.artifact import BenchmarkRecord, PerfReport
 from repro.perf.compare import (
     ChangeKind,
