@@ -14,7 +14,9 @@ Environment knobs (all optional):
 Per-segment constant costs are rescaled with the trace (see
 ``TimingModel.scaled_for_input``), so speedup ratios model the paper's
 full-size experiments.  Expensive automata (Fermi) run on a quarter of
-the trace budget; their absolute speedups are flat anyway.
+the trace budget, by the rule ``repro bench`` and ``repro analyze``
+apply too (:func:`repro.perf.bench.trace_budget`); their absolute
+speedups are flat anyway.
 
 Benchmark instances and PAP runs are cached per session so the figure
 benches share the Figure 8 measurements instead of recomputing them.
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.perf import bench
 from repro.perf.artifact import BenchmarkRecord, PerfReport, run_key
 from repro.sim.runner import BenchmarkRun, run_benchmark
 from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
@@ -50,18 +53,14 @@ SELECTED: tuple[str, ...] = (
     else BENCHMARK_NAMES
 )
 
-# Workloads whose dense active sets make functional simulation slow get
-# a reduced trace budget; their speedup curves are flat in trace size.
-HEAVY = {"Fermi": 4}
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def trace_budget(name: str, size_class: str) -> tuple[int, int]:
+def trace_budget(name: str, size_class: str) -> tuple[int, int | None]:
     """(actual trace bytes, modeled paper bytes) for one run."""
     base = TRACE_1MB_CLASS if size_class == "1MB" else TRACE_10MB_CLASS
     modeled = PAPER_1MB if size_class == "1MB" else PAPER_10MB
-    return base // HEAVY.get(name, 1), modeled // HEAVY.get(name, 1)
+    return bench.trace_budget(name, base, modeled)
 
 
 class SuiteCache:
@@ -95,8 +94,7 @@ class SuiteCache:
         return [self.run(name, ranks, size_class) for name in names]
 
     def perf_report(self, label: str = "pytest-bench") -> PerfReport:
-        """Every cached run as a repro.perf artifact (no wall stats —
-        these runs were shared across figures, not timed)."""
+        """Every cached run as a repro.perf artifact."""
         report = PerfReport(
             label=label,
             parameters={

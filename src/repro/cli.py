@@ -8,8 +8,8 @@
   verified phase profile (``--profile``) with its speedscope and
   collapsed-stack exports (``--speedscope``, ``--folded``);
 * ``bench`` — benchmark artifacts and regression gating: ``run``
-  captures a ``BENCH_*.json``, ``compare`` diffs two artifacts under
-  the dual-domain tolerance policy, ``report`` renders one;
+  captures a ``BENCH_*.json``, ``compare`` diffs two artifacts
+  exactly, ``report`` renders one;
 * ``obs`` — the one reader of run artifacts: ``summary`` validates and
   summarizes a ledger, an OpenMetrics export, a Chrome trace or a
   speedscope profile; ``export`` renders a ledger's metrics; ``diff``
@@ -100,9 +100,6 @@ from repro.obs import (
     verify_phase_totals,
 )
 from repro.perf import (
-    CYCLE_DOMAIN,
-    TolerancePolicy,
-    WALL_DOMAIN,
     compare_reports,
     load_report,
     render_diff,
@@ -266,6 +263,14 @@ def _backend_from_args(
     backend = resolve_backend(args.backend, workers=args.workers, hedge=hedge)
     backend.check_options(options)
     return backend
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a value that must be above zero (exit 2)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _add_workload(parser: argparse.ArgumentParser) -> None:
@@ -441,29 +446,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Usage errors come first, so a rejected run opens no ledger.
     try:
         options = _options_from_args(args)
+        bench = build_benchmark(
+            args.benchmark, scale=args.scale, seed=args.seed
+        )
         backend = _backend_from_args(args, options)
     except ConfigurationError as error:
         print(f"repro run: {error}", file=sys.stderr)
         return 2
-    bench = build_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
-    # The flight recorder IS a tracer, so --trace/--profile work off it;
-    # --metrics-export only needs a live metrics registry.
-    tracer: Tracer | None
-    if args.ledger:
-        tracer = FlightRecorder(path=args.ledger)
-    elif args.trace or args.profile or args.metrics_export or (
-        args.drift_baseline
-    ):
-        tracer = Tracer()
-    else:
-        tracer = None
     config = (
         replace(DEFAULT_CONFIG, use_fiv=False)
         if args.no_fiv
         else DEFAULT_CONFIG
     )
+    monitor = None
+    tracer: Tracer | None = None
     drift = None
     try:
+        if args.drift_baseline:
+            # Loaded before the ledger opens: a missing or malformed
+            # baseline stops the command here (exit 1), not after the run.
+            from repro.obs.drift import DriftMonitor
+
+            monitor = DriftMonitor.from_analysis_artifact(
+                args.drift_baseline,
+                args.benchmark,
+                ranks=args.ranks,
+                tolerance=args.drift_tolerance,
+            )
+        # The flight recorder IS a tracer, so --trace/--profile work off
+        # it; --metrics-export only needs a live metrics registry.
+        if args.ledger:
+            tracer = FlightRecorder(path=args.ledger)
+        elif args.trace or args.profile or args.metrics_export or (
+            monitor is not None
+        ):
+            tracer = Tracer()
+        if monitor is not None:
+            assert tracer is not None
+            monitor.observer = tracer
         run = run_benchmark(
             bench,
             ranks=args.ranks,
@@ -475,19 +495,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             backend=backend,
             options=options,
         )
-        if args.drift_baseline:
+        if monitor is not None:
             # Checked before the ledger seals so the drift events and
             # counters land inside it.
-            from repro.obs.drift import DriftMonitor
-
-            assert tracer is not None
-            monitor = DriftMonitor.from_analysis_artifact(
-                args.drift_baseline,
-                args.benchmark,
-                ranks=args.ranks,
-                tolerance=args.drift_tolerance,
-                observer=tracer,
-            )
             drift = monitor.check_run(run.pap)
     finally:
         backend.close()
@@ -632,7 +642,7 @@ def _chaos_trial(pap, data, reference, kind, segment, args) -> dict:
                 faults=faults,
             )
             backend = ProcessPoolBackend(
-                workers=args.workers or 2, hedge=HedgePolicy()
+                workers=args.workers, hedge=HedgePolicy()
             )
             try:
                 # Warm the pool (spawn + compile) fault-free first so
@@ -672,10 +682,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"unknown fault kind(s) {'+'.join(unknown) or '(none)'}; "
                 f"choose from {'+'.join(CHAOS_KINDS)}"
             )
+        # A sweep of no cells, or a pool of no workers, would pass
+        # having checked nothing.
+        for flag, value in (("segments", args.segments),
+                            ("workers", args.workers)):
+            if value < 1:
+                raise ConfigurationError(
+                    f"--{flag} must be at least 1, got {value}"
+                )
+        bench = build_benchmark(
+            args.benchmark, scale=args.scale, seed=args.seed
+        )
     except ConfigurationError as error:
         print(f"repro chaos: {error}", file=sys.stderr)
         return 2
-    bench = build_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
     data = bench.trace(args.trace_bytes, args.seed + 1)
     config = replace(
         DEFAULT_CONFIG, geometry=BoardGeometry(ranks=args.ranks)
@@ -738,8 +758,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             ranks=args.ranks,
             trace_bytes=args.trace_bytes,
             modeled_bytes=PAPER_BYTES.get(args.model_input),
-            warmup=args.warmup,
-            repeats=args.repeats,
             backend=backend,
             use_fiv=not args.no_fiv,
             options=options,
@@ -764,20 +782,9 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     except ArtifactError as error:
         print(f"repro bench compare: {error}", file=sys.stderr)
         return 2
-    policy = TolerancePolicy(
-        wall_rel_tolerance=args.wall_tolerance,
-        mad_factor=args.mad_factor,
-    )
-    diff = compare_reports(baseline, candidate, policy=policy)
+    diff = compare_reports(baseline, candidate)
     print(render_diff(diff, args.format))
-    if args.fail_on == "never":
-        return 0
-    domains = (
-        (CYCLE_DOMAIN, "suite")
-        if args.fail_on == "cycles"
-        else (CYCLE_DOMAIN, WALL_DOMAIN, "suite")
-    )
-    return 1 if diff.regressions_in(domains) else 0
+    return 0 if diff.clean else 1
 
 
 def _cmd_bench_report(args: argparse.Namespace) -> int:
@@ -1262,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--drift-tolerance",
-        type=float,
+        type=_positive_float,
         default=0.10,
         help=(
             "relative divergence beyond which a drift diagnostic "
@@ -1362,10 +1369,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark artifacts and regression gating (repro.perf)",
         description=(
-            "Capture machine-readable BENCH_*.json benchmark artifacts, "
-            "diff them under the dual-domain tolerance policy "
-            "(cycle metrics exact, wall-clock statistical), and render "
-            "reports. Exit codes: 0 clean, 1 regressions, 2 usage."
+            "Capture machine-readable BENCH_*.json benchmark artifacts "
+            "(cycle metrics, one run per workload), diff them exactly, "
+            "and render reports. Host wall time is measured by "
+            "perfbench, not here. Exit codes: 0 clean, 1 any "
+            "difference, 2 usage."
         ),
     )
     bench_commands = bench_parser.add_subparsers(
@@ -1378,18 +1386,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument(
         "--benchmarks",
         default="",
-        help=(
-            "comma-separated subset (default: $REPRO_BENCH_ONLY, "
-            "else the full suite)"
-        ),
+        help="comma-separated subset (default: the full suite)",
     )
     _add_workload(bench_run)
-    bench_run.add_argument(
-        "--warmup", type=int, default=1, help="unrecorded warmup passes"
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=3, help="recorded wall-clock passes"
-    )
     bench_run.add_argument("--label", default="local")
     bench_run.add_argument(
         "-o", "--out", help="artifact path (default BENCH_<label>.json)"
@@ -1402,31 +1401,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bench_run)
 
     bench_compare = bench_commands.add_parser(
-        "compare", help="diff two artifacts; exit 1 on regressions"
+        "compare",
+        help=(
+            "diff two artifacts; exit 1 on any difference (a cycle "
+            "value, or a metric or workload on one side only)"
+        ),
     )
     bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
     bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.10,
-        help="relative wall-clock threshold over median±MAD (default 0.10)",
-    )
-    bench_compare.add_argument(
-        "--mad-factor",
-        type=float,
-        default=3.0,
-        help="MAD multiples added to the wall-clock noise band",
-    )
-    bench_compare.add_argument(
-        "--fail-on",
-        choices=("any", "cycles", "never"),
-        default="any",
-        help=(
-            "which regression domains exit 1 (CI uses 'cycles' so "
-            "cross-machine wall noise never gates)"
-        ),
-    )
     bench_compare.add_argument(
         "--format", choices=("text", "markdown", "json"), default="text"
     )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.metrics import PAPRunResult
+from repro.errors import ArtifactError, ConfigurationError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.obs.tracer import NULL_OBSERVER, Observer
 
@@ -96,7 +97,8 @@ class DriftMonitor:
         ``["prediction"]`` dict of one workload entry (see
         :meth:`repro.analyze.cost.WorkloadPrediction.to_dict`).
     tolerance:
-        Relative divergence beyond which a drift diagnostic fires.
+        Relative divergence beyond which a drift diagnostic fires;
+        must be positive (:class:`~repro.errors.ConfigurationError`).
     observer:
         Telemetry sink; drift instants and counters go here.  The
         default null observer keeps the monitor side-effect-free.
@@ -112,8 +114,10 @@ class DriftMonitor:
         observer: Observer = NULL_OBSERVER,
         workload: str = "",
     ) -> None:
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        if not tolerance > 0:
+            raise ConfigurationError(
+                f"drift tolerance must be positive, got {tolerance}"
+            )
         self.prediction = dict(prediction)
         self.tolerance = tolerance
         self.observer = observer
@@ -133,7 +137,6 @@ class DriftMonitor:
         ``ANALYZE_*.json`` artifact (raises
         :class:`~repro.errors.ArtifactError` when absent)."""
         from repro.analyze.report import load_analysis
-        from repro.errors import ArtifactError
 
         payload = load_analysis(path)
         key = f"{workload}@r{ranks}"

@@ -1,26 +1,24 @@
 """repro.perf — benchmark artifacts, baselines, and regression gating.
 
-The performance-tracking spine of the repo: every benchmark run can be
+The cycle-tracking spine of the repo: every benchmark run can be
 captured as a versioned ``BENCH_*.json`` artifact
-(:mod:`repro.perf.artifact`), timed with warmup/repeats and summarized
-as median/MAD (:mod:`repro.perf.measure`), diffed against a committed
-baseline under a dual-domain tolerance policy — cycle metrics exact,
-wall-clock statistical — (:mod:`repro.perf.compare`), and rendered as
-text, markdown, or JSON (:mod:`repro.perf.render`).  The ``repro bench
-run/compare/report`` CLI family and CI's perf gate are thin wrappers
-over these pieces::
+(:mod:`repro.perf.artifact`), diffed exactly against a committed
+baseline (:mod:`repro.perf.compare`), and rendered as text, markdown,
+or JSON (:mod:`repro.perf.render`).  Host wall time is perfbench's to
+measure; :mod:`repro.perf.measure` holds the median/MAD summary it
+shares.  The ``repro bench run/compare/report`` CLI family and CI's
+perf gate are thin wrappers over these pieces::
 
     from repro.perf import compare_reports, load_report
 
     diff = compare_reports(load_report("benchmarks/baselines/smoke.json"),
                            load_report("BENCH_ci.json"))
-    assert diff.clean, diff.regressions
+    assert diff.clean, diff.changes
 """
 
 from repro.perf.artifact import (
     CYCLE_DOMAIN,
     SCHEMA_VERSION,
-    WALL_DOMAIN,
     BenchmarkRecord,
     PerfReport,
     load_report,
@@ -36,7 +34,6 @@ from repro.perf.compare import (
     ChangeKind,
     MetricChange,
     PerfDiff,
-    TolerancePolicy,
     compare_reports,
 )
 from repro.perf.measure import (
@@ -60,8 +57,6 @@ __all__ = [
     "PerfDiff",
     "PerfReport",
     "SCHEMA_VERSION",
-    "TolerancePolicy",
-    "WALL_DOMAIN",
     "WallClockStats",
     "compare_reports",
     "load_report",

@@ -2,7 +2,7 @@
 
 A :class:`PerfReport` is the machine-readable sibling of the text
 tables under ``benchmarks/results/``: one record per benchmark run,
-each splitting its measurements into two domains —
+holding two blocks —
 
 ``cycles``
     Symbol-cycle fidelity metrics (total cycles, speedup, flow
@@ -10,12 +10,14 @@ each splitting its measurements into two domains —
     amplification).  Deterministic given the same configuration and
     seeds, so comparisons are exact.
 
-``wall``
-    Host wall-clock timings, warmup + repeats summarized as
-    median/MAD.  Noisy by nature, so comparisons are statistical.
+``telemetry``
+    Per-segment quantile summaries, carried for reading and never
+    compared.
 
-The schema carries ``schema_version`` so future PRs can evolve the
-layout without silently mis-reading old baselines.
+Host wall time is not recorded here: perfbench (``perfbench/``) is the
+one wall measurement.  Older artifacts may carry a ``wall`` block per
+record; it is not read.  The schema carries ``schema_version`` so the
+layout can evolve without silently mis-reading old baselines.
 """
 
 from __future__ import annotations
@@ -28,15 +30,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ArtifactError
-from repro.perf.measure import WallClockStats
 from repro.sim.runner import BenchmarkRun, geometric_mean
 
 SCHEMA_VERSION = 1
 
 #: Metric names whose drift is a *fidelity* regression (exact compare).
 CYCLE_DOMAIN = "cycles"
-#: Metric names compared statistically (median/MAD with tolerance).
-WALL_DOMAIN = "wall"
 
 
 def run_key(name: str, ranks: int, suffix: str = "") -> str:
@@ -54,7 +53,6 @@ class BenchmarkRecord:
     ranks: int
     trace_bytes: int
     cycles: dict
-    wall: WallClockStats | None = None
     telemetry: dict | None = None
     """Per-segment quantile summaries (``BenchmarkRun.telemetry_dict``).
     Carried for reading trends, never compared: summaries would turn
@@ -68,7 +66,6 @@ class BenchmarkRecord:
         *,
         key: str | None = None,
         suffix: str = "",
-        wall: WallClockStats | None = None,
     ) -> "BenchmarkRecord":
         payload = run.to_dict()
         return cls(
@@ -77,7 +74,6 @@ class BenchmarkRecord:
             ranks=run.ranks,
             trace_bytes=run.trace_bytes,
             cycles=payload["cycles"],
-            wall=wall,
             telemetry=run.telemetry_dict(),
         )
 
@@ -88,8 +84,6 @@ class BenchmarkRecord:
             "trace_bytes": self.trace_bytes,
             "cycles": dict(sorted(self.cycles.items())),
         }
-        if self.wall is not None:
-            out["wall"] = self.wall.to_dict()
         if self.telemetry is not None:
             out["telemetry"] = dict(sorted(self.telemetry.items()))
         return out
@@ -97,7 +91,6 @@ class BenchmarkRecord:
     @classmethod
     def from_dict(cls, key: str, payload: dict) -> "BenchmarkRecord":
         try:
-            wall = payload.get("wall")
             telemetry = payload.get("telemetry")
             return cls(
                 key=key,
@@ -105,7 +98,6 @@ class BenchmarkRecord:
                 ranks=int(payload["ranks"]),
                 trace_bytes=int(payload["trace_bytes"]),
                 cycles=dict(payload["cycles"]),
-                wall=WallClockStats.from_dict(wall) if wall else None,
                 telemetry=dict(telemetry) if telemetry else None,
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -239,7 +231,7 @@ def report_from_runs(
     parameters: dict | None = None,
 ) -> PerfReport:
     """Serialization hook for sweeps and cached suites: wrap a mapping
-    of named :class:`BenchmarkRun` results (no wall-clock stats)."""
+    of named :class:`BenchmarkRun` results."""
     report = PerfReport(label=label, parameters=parameters or {})
     for key, run in runs.items():
         report.add(BenchmarkRecord.from_run(run, key=str(key)))

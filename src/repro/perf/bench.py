@@ -1,17 +1,14 @@
 """Suite driver behind ``repro bench run``.
 
-Runs a selection of the evaluation benchmarks end to end, times each
-with warmup + repeats, and packages everything as a
-:class:`~repro.perf.artifact.PerfReport`.  Mirrors the conventions of
-``benchmarks/conftest.py``: trace budgets shrink for the heavy
-functional-simulation workloads, and the ``REPRO_BENCH_ONLY``
-environment knob restricts the suite (that is how CI's perf gate picks
-its smoke subset).
+Runs a selection of the evaluation benchmarks end to end, once each
+(their cycles are deterministic), and packages everything as a
+:class:`~repro.perf.artifact.PerfReport`.  Trace budgets shrink for
+the heavy functional-simulation workloads; ``benchmarks/conftest.py``
+and ``repro analyze`` apply the same rule through :func:`trace_budget`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Callable
 
@@ -19,13 +16,11 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.errors import ConfigurationError
 from repro.exec.backend import ExecutionBackend, RunOptions, resolve_backend
 from repro.perf.artifact import BenchmarkRecord, PerfReport
-from repro.perf.measure import measure_wall
 from repro.sim.runner import run_benchmark
 from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
 
 # Dense active sets make functional simulation slow; shrink their trace
-# budget the same way benchmarks/conftest.py does (speedups are flat in
-# trace size for these).
+# budget (speedups are flat in trace size for these).
 HEAVY_TRACE_DIVISOR = {"Fermi": 4}
 
 
@@ -47,16 +42,13 @@ def trace_budget(
 
 
 def select_benchmarks(spec: str | None = None) -> tuple[str, ...]:
-    """Resolve the benchmark selection for one bench run.
-
-    Precedence: an explicit comma-separated ``spec``, then the
-    ``REPRO_BENCH_ONLY`` environment variable, then the full suite.
+    """Resolve the benchmark selection for one bench run: the names of
+    a comma-separated ``spec``, or the full suite when it is empty.
     Unknown names raise :class:`ConfigurationError`.
     """
-    raw = spec if spec else os.environ.get("REPRO_BENCH_ONLY", "")
-    if not raw:
+    if not spec:
         return BENCHMARK_NAMES
-    names = tuple(name for name in raw.split(",") if name)
+    names = tuple(name for name in spec.split(",") if name)
     unknown = [name for name in names if name not in BENCHMARK_NAMES]
     if unknown:
         raise ConfigurationError(
@@ -75,24 +67,19 @@ def run_bench_suite(
     ranks: int = 1,
     trace_bytes: int = 65_536,
     modeled_bytes: int | None = None,
-    warmup: int = 1,
-    repeats: int = 3,
     backend: ExecutionBackend | str | None = None,
     use_fiv: bool = True,
     options: RunOptions = RunOptions(),
     progress: Callable[[str], None] | None = None,
 ) -> PerfReport:
-    """Run ``names`` and return the artifact-ready report.
+    """Run ``names`` once each and return the artifact-ready report.
 
     ``backend`` selects the host execution backend (:mod:`repro.exec`);
     pass an instance to size or hedge a pool (the caller closes it).
     Cycle-domain metrics are backend-invariant, so artifacts captured
-    under different backends compare clean with ``--fail-on cycles``
-    and differ only in their wall-clock stats — that is how serial vs.
-    process wall speedups are measured (see EXPERIMENTS.md).  One
-    backend instance is shared by every benchmark and repeat, so
-    process pools are spawned (and their workers warmed) once per
-    suite, not once per run.
+    under different backends compare clean.  One backend instance is
+    shared by every benchmark, so process pools are spawned (and their
+    workers warmed) once per suite, not once per run.
 
     ``use_fiv=False`` disables the flow-invalidation vector, removing
     the cross-segment dispatch dependency so the process backend can run
@@ -117,8 +104,6 @@ def run_bench_suite(
             "ranks": ranks,
             "trace_bytes": trace_bytes,
             "modeled_bytes": modeled_bytes,
-            "warmup": warmup,
-            "repeats": repeats,
             "backend": resolved.name,
             "engine": options.engine,
             "workers": getattr(resolved, "workers", 1),
@@ -138,27 +123,19 @@ def run_bench_suite(
         for name in names:
             budget, modeled = trace_budget(name, trace_bytes, modeled_bytes)
             bench = build_benchmark(name, scale=scale, seed=seed)
-            run, wall = measure_wall(
-                lambda: run_benchmark(
-                    bench,
-                    ranks=ranks,
-                    trace_bytes=budget,
-                    modeled_bytes=modeled,
-                    trace_seed=seed + 1,
-                    config=config,
-                    backend=resolved,
-                    options=options,
-                ),
-                warmup=warmup,
-                repeats=repeats,
+            run = run_benchmark(
+                bench,
+                ranks=ranks,
+                trace_bytes=budget,
+                modeled_bytes=modeled,
+                trace_seed=seed + 1,
+                config=config,
+                backend=resolved,
+                options=options,
             )
-            report.add(BenchmarkRecord.from_run(run, wall=wall))
+            report.add(BenchmarkRecord.from_run(run))
             if progress is not None:
-                progress(
-                    f"{run.name}: speedup {run.speedup:.2f}x, "
-                    f"wall {wall.median_s * 1e3:.1f}ms"
-                    f"±{wall.mad_s * 1e3:.1f}ms"
-                )
+                progress(f"{run.name}: speedup {run.speedup:.2f}x")
     finally:
         if resolved is not backend:
             resolved.close()

@@ -1,19 +1,12 @@
-"""Comparison engine: dual-domain diff of two benchmark artifacts.
+"""Comparison engine: exact diff of two benchmark artifacts.
 
-The two measurement domains get different tolerance policies:
-
-* **cycles** — the simulator is deterministic, so every cycle-domain
-  metric must match its baseline bit-for-bit.  Any drift means the
-  *model* changed (a fidelity regression, or a deliberate change that
-  must re-baseline) and is always reported as a regression, even when
-  the number moved in the "good" direction.
-* **wall** — host timings are noisy, so medians are compared under a
-  configurable relative threshold widened by both runs' MADs.  Moves
-  beyond the band are regressions or improvements by direction.
-
-The diff is typed (:class:`ChangeKind`) so renderers and the CI gate
-can filter: ``repro bench compare --fail-on cycles`` ignores wall-clock
-noise across machines while still failing on fidelity drift.
+The simulator is deterministic, so every cycle-domain metric must match
+its baseline bit-for-bit.  Any drift means the *model* changed (a
+fidelity regression, or a deliberate change that must re-baseline) and
+is always reported as a regression, even when the number moved in the
+"good" direction.  A metric or a benchmark present on one side only is
+``new`` or ``removed``.  ``repro bench compare`` exits 1 on any change
+at all: an artifact is either equal to its baseline or it is not.
 """
 
 from __future__ import annotations
@@ -21,18 +14,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.perf.artifact import (
-    CYCLE_DOMAIN,
-    WALL_DOMAIN,
-    BenchmarkRecord,
-    PerfReport,
-)
-from repro.perf.measure import WallClockStats
+from repro.perf.artifact import CYCLE_DOMAIN, BenchmarkRecord, PerfReport
 
 
 class ChangeKind(enum.Enum):
     REGRESSION = "regression"
-    IMPROVEMENT = "improvement"
     NEW = "new"
     REMOVED = "removed"
 
@@ -62,28 +48,6 @@ class MetricChange:
         )
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Wall-clock noise model: a median move counts only when it
-    clears ``rel_tolerance * baseline_median`` *plus* ``mad_factor``
-    times the combined MADs of the two runs."""
-
-    wall_rel_tolerance: float = 0.10
-    mad_factor: float = 3.0
-
-    def classify_wall(
-        self, base: WallClockStats, cand: WallClockStats
-    ) -> ChangeKind | None:
-        delta = cand.median_s - base.median_s
-        allowance = self.wall_rel_tolerance * base.median_s
-        noise = self.mad_factor * (base.mad_s + cand.mad_s)
-        if delta > allowance + noise:
-            return ChangeKind.REGRESSION
-        if -delta > allowance + noise:
-            return ChangeKind.IMPROVEMENT
-        return None
-
-
 @dataclass
 class PerfDiff:
     """Typed result of comparing two :class:`PerfReport` artifacts."""
@@ -100,19 +64,12 @@ class PerfDiff:
         return self.of_kind(ChangeKind.REGRESSION)
 
     @property
-    def improvements(self) -> list[MetricChange]:
-        return self.of_kind(ChangeKind.IMPROVEMENT)
-
-    @property
     def added(self) -> list[MetricChange]:
         return self.of_kind(ChangeKind.NEW)
 
     @property
     def removed(self) -> list[MetricChange]:
         return self.of_kind(ChangeKind.REMOVED)
-
-    def regressions_in(self, domains: tuple[str, ...]) -> list[MetricChange]:
-        return [r for r in self.regressions if r.domain in domains]
 
     @property
     def clean(self) -> bool:
@@ -194,42 +151,8 @@ def _compare_cycles(
             )
 
 
-def _compare_wall(
-    diff: PerfDiff,
-    base: BenchmarkRecord,
-    cand: BenchmarkRecord,
-    policy: TolerancePolicy,
-) -> None:
-    if base.wall is None or cand.wall is None:
-        return
-    kind = policy.classify_wall(base.wall, cand.wall)
-    if kind is None:
-        return
-    diff.changes.append(
-        MetricChange(
-            benchmark=base.key,
-            metric="median_s",
-            domain=WALL_DOMAIN,
-            kind=kind,
-            baseline=base.wall.median_s,
-            candidate=cand.wall.median_s,
-            detail=(
-                f"{_relative(base.wall.median_s, cand.wall.median_s)} "
-                f"vs ±({policy.wall_rel_tolerance:.0%} "
-                f"+ {policy.mad_factor:g}·MAD)"
-            ).strip(),
-        )
-    )
-
-
-def compare_reports(
-    baseline: PerfReport,
-    candidate: PerfReport,
-    *,
-    policy: TolerancePolicy | None = None,
-) -> PerfDiff:
+def compare_reports(baseline: PerfReport, candidate: PerfReport) -> PerfDiff:
     """Diff two artifacts benchmark-by-benchmark, metric-by-metric."""
-    policy = policy or TolerancePolicy()
     diff = PerfDiff(
         baseline_label=baseline.label, candidate_label=candidate.label
     )
@@ -260,5 +183,4 @@ def compare_reports(
             )
             continue
         _compare_cycles(diff, base, cand)
-        _compare_wall(diff, base, cand, policy)
     return diff

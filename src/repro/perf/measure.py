@@ -5,7 +5,9 @@ wall-clock is not.  :func:`measure_wall` runs a callable ``warmup``
 times unrecorded (JIT-warm caches, page in the trace), then ``repeats``
 recorded times, and summarizes with the median and the median absolute
 deviation — both robust to the one-off scheduling hiccups that make
-mean/stddev useless on shared CI runners.
+mean/stddev useless on shared CI runners.  perfbench summarizes its
+samples with :func:`summarize_samples`; the standalone speedup scripts
+under ``benchmarks/`` time with :func:`measure_wall`.
 """
 
 from __future__ import annotations
@@ -27,27 +29,6 @@ class WallClockStats:
     repeats: int
     warmup: int
     samples_s: tuple[float, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "median_s": self.median_s,
-            "mad_s": self.mad_s,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "samples_s": list(self.samples_s),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WallClockStats":
-        return cls(
-            median_s=float(payload["median_s"]),
-            mad_s=float(payload["mad_s"]),
-            repeats=int(payload["repeats"]),
-            warmup=int(payload["warmup"]),
-            samples_s=tuple(
-                float(s) for s in payload.get("samples_s", ())
-            ),
-        )
 
 
 def summarize_samples(

@@ -15,7 +15,6 @@ _REPORT_COLUMNS = (
     ("segments", "{:>8}"),
     ("pap cycles", "{:>12}"),
     ("speedup", "{:>8}"),
-    ("wall median", "{:>12}"),
 )
 
 
@@ -23,11 +22,6 @@ def _report_rows(report: PerfReport) -> list[tuple[str, ...]]:
     rows = []
     for key in sorted(report.benchmarks):
         record = report.benchmarks[key]
-        wall = (
-            f"{record.wall.median_s * 1e3:.1f}ms"
-            if record.wall is not None
-            else "-"
-        )
         rows.append(
             (
                 key,
@@ -35,7 +29,6 @@ def _report_rows(report: PerfReport) -> list[tuple[str, ...]]:
                 str(record.cycles.get("segments", "-")),
                 str(record.cycles.get("pap_cycles", "-")),
                 f"{record.speedup:.2f}x",
-                wall,
             )
         )
     return rows
@@ -91,7 +84,6 @@ _KIND_ORDER = (
     ChangeKind.REGRESSION,
     ChangeKind.REMOVED,
     ChangeKind.NEW,
-    ChangeKind.IMPROVEMENT,
 )
 
 
@@ -99,7 +91,7 @@ def _diff_summary(diff: PerfDiff) -> str:
     if diff.clean:
         return (
             f"clean: {diff.candidate_label!r} matches "
-            f"{diff.baseline_label!r} in both domains"
+            f"{diff.baseline_label!r} exactly"
         )
     counts = ", ".join(
         f"{len(diff.of_kind(kind))} {kind.value}"

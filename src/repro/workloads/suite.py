@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.automata.anml import Automaton
+from repro.errors import ConfigurationError
 from repro.workloads import regexgen
 from repro.workloads.entityres import entityresolution_benchmark, name_trace
 from repro.workloads.fermi import fermi_benchmark, hit_trace
@@ -425,11 +426,14 @@ ANMLZOO_SUITE = tuple(n for n in BENCHMARK_NAMES if n not in REGEX_SUITE)
 def build_benchmark(
     name: str, *, scale: float = 0.25, seed: int = 0
 ) -> BenchmarkInstance:
-    """Build one named benchmark at the given scale."""
+    """Build one named benchmark at the given scale (a positive
+    fraction of the paper's state counts)."""
     if name not in BUILDERS:
         raise KeyError(
             f"unknown benchmark {name!r}; known: {', '.join(BUILDERS)}"
         )
+    if not scale > 0:
+        raise ConfigurationError(f"scale must be positive, got {scale}")
     return BUILDERS[name](scale, seed)
 
 

@@ -184,6 +184,47 @@ class TestRunDrift:
         assert code == 1
         assert "cannot load" in capsys.readouterr().err
 
+    def test_bad_drift_arguments_stop_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A non-positive tolerance (usage, exit 2) and a missing
+        baseline (exit 1) are reported before any run starts, and the
+        missing baseline opens no ledger."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("repro.cli.run_benchmark", no_run)
+        artifact = self._analyze(tmp_path, capsys)
+        for tolerance in ("0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    self._run(
+                        [
+                            "--drift-baseline",
+                            artifact,
+                            "--drift-tolerance",
+                            tolerance,
+                        ]
+                    )
+                )
+            assert excinfo.value.code == 2
+            assert "must be positive" in capsys.readouterr().err
+        ledger = tmp_path / "run.jsonl"
+        code = main(
+            self._run(
+                [
+                    "--drift-baseline",
+                    str(tmp_path / "nope.json"),
+                    "--ledger",
+                    str(ledger),
+                ]
+            )
+        )
+        assert code == 1
+        assert "cannot load" in capsys.readouterr().err
+        assert not ledger.exists()
+
 
 class TestObsSummary:
     def test_ledger_summary_text(self, run_artifacts, capsys):

@@ -195,9 +195,9 @@ class TestObserverEmission:
 
 class TestConstruction:
     def test_rejects_non_positive_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ConfigurationError, match="tolerance"):
             DriftMonitor(_prediction(), tolerance=0.0)
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ConfigurationError, match="tolerance"):
             DriftMonitor(_prediction(), tolerance=-0.5)
 
     def test_from_analysis_artifact_loads_workload(self):

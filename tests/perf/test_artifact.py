@@ -1,6 +1,7 @@
 """Tests for the BENCH_*.json artifact schema and (de)serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,14 @@ from repro.perf.artifact import (
     report_from_runs,
     run_key,
 )
-from repro.perf.measure import WallClockStats
+from repro.perf.bench import run_bench_suite
+from repro.perf.compare import compare_reports
 from repro.sim.runner import run_benchmark
 from repro.workloads.suite import build_benchmark
+
+SMOKE_ANCHOR = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "baselines" / "smoke.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +49,35 @@ class TestRecord:
         assert record.cycles["pap_cycles"] == run.pap.total_cycles
         assert record.cycles["baseline_cycles"] == run.baseline.total_cycles
         assert record.speedup == run.speedup
-        assert record.wall is None
 
     def test_run_key_with_suffix(self):
         assert run_key("Snort", 4) == "Snort@r4"
         assert run_key("Snort", 4, "10MB") == "Snort@r4/10MB"
 
     def test_round_trip(self, run):
-        wall = WallClockStats(0.5, 0.01, repeats=3, warmup=1)
-        record = BenchmarkRecord.from_run(run, wall=wall)
+        record = BenchmarkRecord.from_run(run)
         again = BenchmarkRecord.from_dict(record.key, record.to_dict())
         assert again == record
+
+    def test_legacy_wall_block_is_not_read(self, run):
+        """Artifacts written when records timed their runs carry a
+        ``wall`` block; it loads, is dropped, and compares clean."""
+        record = BenchmarkRecord.from_run(run)
+        legacy = record.to_dict()
+        legacy["wall"] = {
+            "median_s": 0.5,
+            "mad_s": 0.01,
+            "repeats": 3,
+            "warmup": 1,
+            "samples_s": [0.49, 0.5, 0.51],
+        }
+        loaded = BenchmarkRecord.from_dict(record.key, legacy)
+        assert loaded == record
+        assert "wall" not in loaded.to_dict()
+        old, new = PerfReport(label="old"), PerfReport(label="new")
+        old.add(loaded)
+        new.add(record)
+        assert compare_reports(old, new).clean
 
     def test_malformed_record_raises(self):
         with pytest.raises(ArtifactError, match="malformed"):
@@ -143,3 +167,25 @@ class TestSweepHook:
         assert set(report.benchmarks) == {"64", "128"}
         loaded = load_report(report.write(tmp_path / "sweep.json"))
         assert set(loaded.benchmarks) == {"64", "128"}
+
+
+class TestCommittedAnchor:
+    def test_smoke_anchor_is_current(self):
+        """The smoke baseline equals what today's code records at its
+        own parameters, and it holds cycles only (no wall block)."""
+        anchor_payload = json.loads(SMOKE_ANCHOR.read_text())
+        params = anchor_payload["parameters"]
+        fresh = run_bench_suite(
+            tuple(params["benchmarks"]),
+            label="fresh",
+            scale=params["scale"],
+            seed=params["seed"],
+            trace_bytes=params["trace_bytes"],
+            modeled_bytes=params["modeled_bytes"],
+        )
+        diff = compare_reports(load_report(SMOKE_ANCHOR), fresh)
+        assert diff.clean, [change.describe() for change in diff.changes]
+        assert all(
+            "wall" not in record
+            for record in anchor_payload["benchmarks"].values()
+        )

@@ -1,8 +1,9 @@
 """Tests for the `repro bench run/compare/report` CLI family.
 
 Covers the acceptance flow: `bench run --out BENCH_x.json` then
-self-compare exits 0 all-clean; perturbing any cycle-domain metric
-makes `compare` exit 1 and name the metric; usage errors exit 2.
+self-compare exits 0 all-clean; any difference (a perturbed cycle
+metric, or a metric or workload on one side only) makes `compare` exit
+1 and name it; usage errors exit 2.
 """
 
 import json
@@ -27,10 +28,6 @@ def artifact(tmp_path_factory):
             "0.05",
             "--trace-bytes",
             "4096",
-            "--warmup",
-            "0",
-            "--repeats",
-            "1",
             "--label",
             "x",
             "--out",
@@ -48,15 +45,35 @@ class TestParser:
 
     def test_compare_defaults(self):
         args = build_parser().parse_args(["bench", "compare", "a", "b"])
-        assert args.fail_on == "any"
-        assert args.wall_tolerance == 0.10
         assert args.format == "text"
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["bench", "run"])
-        assert args.repeats == 3
-        assert args.warmup == 1
+        assert args.benchmarks == ""
         assert args.label == "local"
+
+    @pytest.mark.parametrize(
+        "command, removed",
+        [
+            (["bench", "run"], ("--warmup", "--repeats")),
+            (
+                ["bench", "compare", "a.json", "b.json"],
+                ("--wall-tolerance", "--mad-factor", "--fail-on"),
+            ),
+        ],
+    )
+    def test_wall_flags_are_gone(self, command, removed, capsys):
+        """`repro bench` records and gates cycles only; its help names
+        none of the wall-band flags, and argparse rejects them."""
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            main(command[:2] + ["--help"])
+        helptext = capsys.readouterr().out
+        for flag in removed:
+            assert flag not in helptext
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(command + [flag, "1"])
+            assert excinfo.value.code == 2
 
 
 class TestBenchRun:
@@ -66,7 +83,7 @@ class TestBenchRun:
         assert payload["label"] == "x"
         record = payload["benchmarks"]["Bro217@r1"]
         assert record["cycles"]["reports_match"] is True
-        assert record["wall"]["repeats"] == 1
+        assert "wall" not in record
 
     def test_unknown_benchmark_is_operational_error(self, tmp_path, capsys):
         """A bad workload name exits 1 with a one-line message (the flag
@@ -134,10 +151,6 @@ class TestBenchRun:
                     "0.05",
                     "--trace-bytes",
                     "2048",
-                    "--warmup",
-                    "0",
-                    "--repeats",
-                    "1",
                     "--memory-budget",
                     "1",
                     "--out",
@@ -163,10 +176,6 @@ class TestBenchRun:
                 "0.05",
                 "--trace-bytes",
                 "4096",
-                "--warmup",
-                "0",
-                "--repeats",
-                "1",
                 "--backend",
                 "process",
                 "--workers",
@@ -194,8 +203,6 @@ class TestBenchRun:
             "ranks": 1,
             "trace_bytes": 4096,
             "modeled_bytes": 1_048_576,
-            "warmup": 0,
-            "repeats": 1,
             "backend": "process",
             "engine": "vector",
             "workers": 2,
@@ -208,29 +215,6 @@ class TestBenchRun:
             "resume": False,
             "hedge": True,
         }
-
-    def test_env_subset_selected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_ONLY", "Bro217")
-        out = tmp_path / "BENCH_env.json"
-        code = main(
-            [
-                "bench",
-                "run",
-                "--scale",
-                "0.05",
-                "--trace-bytes",
-                "2048",
-                "--warmup",
-                "0",
-                "--repeats",
-                "1",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert list(payload["benchmarks"]) == ["Bro217@r1"]
 
 
 class TestBenchCompare:
@@ -260,34 +244,25 @@ class TestBenchCompare:
         assert metric in out
         assert "REGRESSION" in out
 
-    def test_fail_on_never_masks_exit(self, artifact, tmp_path):
+    def test_metric_on_one_side_only_fails(self, artifact, tmp_path, capsys):
         payload = json.loads(artifact.read_text())
-        payload["benchmarks"]["Bro217@r1"]["cycles"]["pap_cycles"] += 5
-        perturbed = tmp_path / "BENCH_p.json"
-        perturbed.write_text(json.dumps(payload))
-        assert (
-            main(
-                [
-                    "bench",
-                    "compare",
-                    str(artifact),
-                    str(perturbed),
-                    "--fail-on",
-                    "never",
-                ]
-            )
-            == 0
-        )
+        del payload["benchmarks"]["Bro217@r1"]["cycles"]["pap_cycles"]
+        fewer = tmp_path / "BENCH_fewer.json"
+        fewer.write_text(json.dumps(payload))
+        assert main(["bench", "compare", str(artifact), str(fewer)]) == 1
+        assert "[REMOVED] Bro217@r1 cycles.pap_cycles" in capsys.readouterr().out
+        assert main(["bench", "compare", str(fewer), str(artifact)]) == 1
+        assert "[NEW] Bro217@r1 cycles.pap_cycles" in capsys.readouterr().out
 
-    def test_fail_on_cycles_ignores_wall_noise(self, artifact, tmp_path):
+    def test_workload_on_one_side_only_fails(self, artifact, tmp_path, capsys):
         payload = json.loads(artifact.read_text())
-        wall = payload["benchmarks"]["Bro217@r1"]["wall"]
-        wall["median_s"] = wall["median_s"] * 10 + 1.0
-        noisy = tmp_path / "BENCH_noisy.json"
-        noisy.write_text(json.dumps(payload))
-        args = ["bench", "compare", str(artifact), str(noisy)]
-        assert main(args) == 1
-        assert main(args + ["--fail-on", "cycles"]) == 0
+        payload["benchmarks"]["Extra@r1"] = payload["benchmarks"]["Bro217@r1"]
+        more = tmp_path / "BENCH_more.json"
+        more.write_text(json.dumps(payload))
+        assert main(["bench", "compare", str(artifact), str(more)]) == 1
+        assert "[NEW] Extra@r1" in capsys.readouterr().out
+        assert main(["bench", "compare", str(more), str(artifact)]) == 1
+        assert "[REMOVED] Extra@r1" in capsys.readouterr().out
 
     def test_missing_baseline_is_usage_error(self, artifact, capsys):
         code = main(

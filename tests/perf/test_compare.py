@@ -1,16 +1,10 @@
-"""Tests for the dual-domain comparison engine."""
+"""Tests for the exact comparison engine."""
 
 from repro.perf.artifact import BenchmarkRecord, PerfReport
-from repro.perf.compare import (
-    ChangeKind,
-    PerfDiff,
-    TolerancePolicy,
-    compare_reports,
-)
-from repro.perf.measure import WallClockStats
+from repro.perf.compare import ChangeKind, PerfDiff, compare_reports
 
 
-def record(key="A@r1", wall=None, **cycles):
+def record(key="A@r1", **cycles):
     base = {
         "baseline_cycles": 4_000,
         "pap_cycles": 1_000,
@@ -24,7 +18,6 @@ def record(key="A@r1", wall=None, **cycles):
         ranks=1,
         trace_bytes=8_192,
         cycles=base,
-        wall=wall,
     )
 
 
@@ -33,10 +26,6 @@ def report(label, *records):
     for rec in records:
         out.add(rec)
     return out
-
-
-def wall(median, mad=0.0):
-    return WallClockStats(median, mad, repeats=3, warmup=1)
 
 
 class TestCycleDomain:
@@ -99,54 +88,7 @@ class TestSuiteMembership:
         assert not diff.clean
 
 
-class TestWallDomain:
-    POLICY = TolerancePolicy(wall_rel_tolerance=0.10, mad_factor=3.0)
-
-    def compare(self, base_wall, cand_wall):
-        return compare_reports(
-            report("a", record(wall=base_wall)),
-            report("b", record(wall=cand_wall)),
-            policy=self.POLICY,
-        )
-
-    def test_noise_inside_threshold_is_clean(self):
-        # Band: 10% of 1.0 plus 3*(0.01+0.01) = 0.16.
-        diff = self.compare(wall(1.0, 0.01), wall(1.16, 0.01))
-        assert diff.clean
-
-    def test_slowdown_outside_threshold_regresses(self):
-        diff = self.compare(wall(1.0, 0.01), wall(1.17, 0.01))
-        assert len(diff.regressions) == 1
-        change = diff.regressions[0]
-        assert change.domain == "wall"
-        assert change.metric == "median_s"
-
-    def test_speedup_outside_threshold_improves(self):
-        diff = self.compare(wall(1.0, 0.01), wall(0.83, 0.01))
-        assert [c.kind for c in diff.changes] == [ChangeKind.IMPROVEMENT]
-
-    def test_missing_wall_stats_skip_wall_compare(self):
-        diff = compare_reports(
-            report("a", record(wall=wall(1.0))),
-            report("b", record(wall=None)),
-        )
-        assert diff.clean
-
-    def test_noisy_runs_widen_the_band(self):
-        # Same +17% move is forgiven when the MADs say it's noise.
-        diff = self.compare(wall(1.0, 0.05), wall(1.17, 0.05))
-        assert diff.clean
-
-
 class TestDiffShape:
-    def test_exit_semantics_by_domain(self):
-        diff = compare_reports(
-            report("a", record(pap_cycles=1_000, wall=wall(1.0))),
-            report("b", record(pap_cycles=1_000, wall=wall(5.0))),
-        )
-        assert diff.regressions_in(("wall",))
-        assert not diff.regressions_in(("cycles", "suite"))
-
     def test_to_dict_counts(self):
         diff = compare_reports(
             report("a", record(pap_cycles=1_000), record("B@r1")),

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.perf.measure import (
-    WallClockStats,
-    measure_wall,
-    summarize_samples,
-)
+from repro.perf.measure import measure_wall, summarize_samples
 
 
 class TestSummarize:
@@ -27,10 +23,6 @@ class TestSummarize:
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="empty"):
             summarize_samples([])
-
-    def test_round_trip_through_dict(self):
-        stats = summarize_samples([1.0, 2.0], warmup=2)
-        assert WallClockStats.from_dict(stats.to_dict()) == stats
 
 
 class TestMeasureWall:

@@ -153,6 +153,32 @@ class TestCommands:
         assert "segment timeout" in capsys.readouterr().err
         assert ledger.read_text() == "kept\n"
 
+    def test_run_rejects_non_positive_scale(self, capsys):
+        code = main(["run", "Bro217", "--scale", "-3"])
+        assert code == 2
+        assert "scale must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--segments", "0"), ("--segments", "-2"), ("--workers", "0")],
+    )
+    def test_chaos_rejects_sweeps_that_check_nothing(
+        self, flag, value, capsys, monkeypatch
+    ):
+        """No cells, or no workers, is a usage error found before the
+        fault-free reference run, never `0/0 recoveries bit-exact`."""
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference run started")
+
+        monkeypatch.setattr("repro.cli.ParallelAutomataProcessor", no_reference)
+        code = main(
+            ["chaos", "Ranges1", "--scale", "0.05", "--trace-bytes", "2048",
+             flag, value]
+        )
+        assert code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
     def test_run_rejects_resume_without_checkpoint(self, capsys):
         code = main(
             [

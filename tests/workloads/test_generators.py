@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 
 from repro.automata.analysis import AutomatonAnalysis
 from repro.automata.execution import run_automaton
+from repro.errors import ConfigurationError
 from repro.workloads.entityres import (
     entity_automaton,
     entityresolution_benchmark,
@@ -36,6 +38,7 @@ from repro.workloads.spm import (
     spm_pattern,
     transaction_trace,
 )
+from repro.workloads.suite import build_benchmark
 
 
 class TestRegexGen:
@@ -217,3 +220,12 @@ class TestEntityResolution:
         )
         trace = name_trace(entities, 4000, seed=3, hit_fraction=0.4)
         assert run_automaton(automaton, trace).report_set
+
+
+class TestBuildBenchmark:
+    @pytest.mark.parametrize("scale", [0.0, -3.0, float("nan")])
+    def test_rejects_non_positive_scale(self, scale):
+        """A scale is a fraction of the paper's state counts: without
+        this check -3 silently built Bro217's 28-state minimum."""
+        with pytest.raises(ConfigurationError, match="scale must be positive"):
+            build_benchmark("Bro217", scale=scale)
