@@ -273,6 +273,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+class _StoreGiven(argparse.Action):
+    """``store``, noting ``<dest>_given`` on the namespace: a flag that
+    only qualifies another is then rejected without it, never ignored."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
+
+
 def _add_workload(parser: argparse.ArgumentParser) -> None:
     """Board and input flags shared by ``run``, ``bench run`` and
     ``analyze``."""
@@ -361,6 +370,13 @@ def _print_run_text(summary: dict) -> None:
         print(
             f"backend          : {summary['backend']} (FIV {fiv})"
         )
+    health = summary.get("health", {})
+    if summary["backend"] == "process":
+        print(
+            f"speculation      : {health.get('speculation_hits', 0)} kept, "
+            f"{health.get('speculation_misses', 0)} sent again with "
+            "their FIV"
+        )
     if summary["engine_reason"]:
         print(f"engine           : {summary['engine_reason']}")
     memo = summary["reference"]
@@ -388,7 +404,6 @@ def _print_run_text(summary: dict) -> None:
             f"{svc.get('saves', 0)} saves, {svc.get('hits', 0)} hits, "
             f"{svc.get('misses', 0)} misses"
         )
-    health = summary.get("health", {})
     if any(
         health.get(key)
         for key in (
@@ -445,6 +460,13 @@ def _print_run_text(summary: dict) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Usage errors come first, so a rejected run opens no ledger.
     try:
+        if getattr(args, "drift_tolerance_given", False) and not (
+            args.drift_baseline
+        ):
+            raise ConfigurationError(
+                "--drift-tolerance needs --drift-baseline (there is no "
+                "prediction to drift from)"
+            )
         options = _options_from_args(args)
         bench = build_benchmark(
             args.benchmark, scale=args.scale, seed=args.seed
@@ -740,9 +762,10 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         # A bad workload *name* is an operational failure (exit 1, like
         # any other run that cannot produce an artifact), not a usage
-        # error: the flag was well-formed, the suite just lacks it.
+        # error: the flag was well-formed, the suite just lacks it.  A
+        # selection that names no workload at all is a usage error.
         print(f"repro bench run: {error}", file=sys.stderr)
-        return 1
+        return 1 if any(args.benchmarks.split(",")) else 2
     try:
         options = _options_from_args(args)
         backend = _backend_from_args(args, options)
@@ -1271,9 +1294,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift-tolerance",
         type=_positive_float,
         default=0.10,
+        action=_StoreGiven,
         help=(
             "relative divergence beyond which a drift diagnostic "
-            "fires (default 0.10)"
+            "fires (default 0.10; needs --drift-baseline)"
         ),
     )
     _add_backend(run_parser)
@@ -1285,9 +1309,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help=(
             "admission guard: refuse a run whose input plus largest "
-            "segment exceeds BYTES; a --no-fiv run on --backend process "
-            "that fits one segment but not all of them dispatches "
-            "segments in waves that fit"
+            "segment exceeds BYTES; a --backend process run, which "
+            "sends every segment at once, that fits one segment but "
+            "not all of them dispatches segments in waves that fit"
         ),
     )
     _add_common(run_parser)

@@ -19,16 +19,16 @@ segment:
 ``ProcessPoolBackend``
     Each attempt is dispatched to a worker process via
     :class:`concurrent.futures.ProcessPoolExecutor` (spawn-safe — see
-    :mod:`repro.exec.worker`).  Dispatch is dependency-aware:
-
-    * with ``use_fiv=True`` a segment's flow-invalidation inputs
-      (``unit_truth``, ``fiv_time``) come from its predecessor's
-      completed, composed result, so dispatch pipelines along the
-      availability chain — each segment enters the pool the moment its
-      inputs resolve;
-    * with ``use_fiv=False`` no segment's *execution* depends on
-      another's (truth only matters at composition time), so every
-      first attempt is prefetched up front and the loop only collects.
+    :mod:`repro.exec.worker`).  Every segment's first attempt is sent
+    up front, FIV on or off, and the loop collects.  A segment's
+    flow-invalidation inputs (``unit_truth``, ``fiv_time``) come from
+    its composed predecessor, so a first attempt runs without them; at
+    the segment's turn its result is kept when ``fiv_time`` is None or
+    later than the result's ``finish_cycles``, and otherwise the
+    segment is sent again with them.  The rule is exact: the scheduler
+    reads those inputs only to apply the FIV, at the first slice
+    boundary whose time is at least ``fiv_time``, and no boundary is
+    later than ``finish_cycles``, so the FIV could not have fired.
 
 Placement and engine are independent options.
 :meth:`~ExecutionBackend.execute` resolves :attr:`RunOptions.engine`
@@ -106,9 +106,11 @@ from repro.exec.durability import (
     run_fingerprint,
 )
 from repro.exec.faults import (
+    CRASH,
     HANG,
     HOST_KINDS,
     STRAGGLER,
+    WORKER_KINDS,
     FaultInjector,
     FaultPlan,
     raise_fault,
@@ -188,9 +190,8 @@ class ExecutionContext:
     max_inflight: int | None = None
     """Admission-guard bound on concurrently in-flight segment
     dispatches (``None`` = unbounded).  Consumed by the process
-    backend's independent (no-FIV) path, which otherwise prefetches
-    every segment at once; serial execution is inherently one segment
-    at a time."""
+    backend, which otherwise sends every segment at once, FIV on or
+    off; serial execution is inherently one segment at a time."""
 
 
 @dataclass(frozen=True)
@@ -229,21 +230,21 @@ def _draw_fault(
     return kind
 
 
-def _in_process_attempt(
-    ctx: ExecutionContext,
-    data: bytes,
-    *,
-    infrastructure: bool = True,
-) -> Attempt:
-    """The serial attempt: one in-process scheduler for the whole run,
-    on the run's engine.
+#: ``run(plan, truth, fiv_time, fault)``: one in-process segment run,
+#: modelling the injected ``fault`` (a kind, or None) first.
+InProcessRun = Callable[
+    [SegmentPlan, dict[int, bool] | None, int | None, str | None],
+    SegmentResult,
+]
+
+
+def _in_process_runner(ctx: ExecutionContext, data: bytes) -> InProcessRun:
+    """In-process execution: one scheduler for the whole run, on the
+    run's engine.
 
     In-process, injected faults are modeled as their matching errors (a
     single process can only *model* worker crashes and hangs) and a
-    straggler as a delay.  ``infrastructure=False`` is a degraded pool's
-    fallback: worker faults (crash, hang) no longer apply — there are
-    no workers — but segment-level faults still fire, and the retry
-    loop still recovers them.
+    straggler as a delay.
     """
     scheduler = SegmentScheduler(
         ctx.compiled,
@@ -254,24 +255,25 @@ def _in_process_attempt(
         engine=ctx.engine,
     )
 
-    def attempt(
-        plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
+    def run(
+        plan: SegmentPlan,
+        truth: dict[int, bool] | None,
+        fiv_time: int | None,
+        fault: str | None,
     ) -> SegmentResult:
-        index = plan.segment.index
-        fault = _draw_fault(ctx, index, infrastructure=infrastructure)
         if fault == STRAGGLER:
             # Delay, then execute normally: there is nothing to hedge
             # against without a pool.
             assert ctx.injector is not None
             time.sleep(ctx.injector.plan.straggler_s)
         elif fault is not None:
-            raise_fault(fault, index)
+            raise_fault(fault, plan.segment.index)
         ctx.observer.metrics.counter("exec.dispatches").inc()
         return scheduler.run_segment(
             data, plan, unit_truth=truth, fiv_time=fiv_time
         )
 
-    return attempt
+    return run
 
 
 def _admit(
@@ -489,7 +491,8 @@ class ExecutionBackend:
 
     def _prefetches(self, ctx: ExecutionContext) -> bool:
         """Whether this run dispatches every segment at once (so the
-        admission guard prices them all) instead of one at a time."""
+        admission guard prices them all) instead of one at a time: a
+        pool that has not degraded to in-process execution does."""
         return False
 
     def _attempt_failed(
@@ -623,7 +626,31 @@ class SerialBackend(ExecutionBackend):
     ) -> Iterator[Attempt]:
         if ctx.observer.enabled:
             ctx.observer.metrics.gauge("exec.workers").set(1)
-        yield _in_process_attempt(ctx, data)
+        run = _in_process_runner(ctx, data)
+        yield lambda plan, truth, fiv_time: run(
+            plan, truth, fiv_time, _draw_fault(ctx, plan.segment.index)
+        )
+
+
+@dataclass(frozen=True)
+class _Dispatch:
+    """One segment dispatch on the pool: the inputs and the worker fault
+    it carries, so that it can be sent again as the same attempt, and
+    the pool it went to."""
+
+    plan: SegmentPlan
+    truth: dict[int, bool] | None
+    fiv_time: int | None
+    fault: tuple[str, float] | None
+    """The injected worker fault it carries: ``(kind, delay_s)``."""
+    pool: ProcessPoolExecutor
+    future: Future
+    span: int
+
+    @property
+    def crashes(self) -> bool:
+        """Whether it carries an injected crash, which breaks its pool."""
+        return self.fault is not None and self.fault[0] == CRASH
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -650,10 +677,17 @@ class ProcessPoolBackend(ExecutionBackend):
     pool), so callers owning a backend instance should
     :meth:`close` it — or use it as a context manager — when done.
 
+    Dispatch: every segment's first attempt is sent up front, without
+    its FIV inputs, and a result is kept only when the FIV could not
+    have fired in it (see :meth:`_attempts`).
+
     Recovery: a broken pool (worker crash) or a tripped per-segment
     dispatch timeout tears the executor down *without waiting* (a hung
     worker cannot be joined), and the next dispatch lazily rebuilds a
-    fresh pool.  Consecutive infrastructure failures climb the failure
+    fresh pool.  A breakage is charged once: to the dispatch that
+    carried an injected crash, else to the segment being collected;
+    every other dispatch lost with the pool is sent again as the same
+    attempt.  Consecutive infrastructure failures climb the failure
     ladder (see :meth:`_attempt_failed`), whose state lives on the
     instance and persists across runs until :meth:`close`: a pool that
     degraded to in-process execution stays degraded, so later runs do
@@ -816,7 +850,7 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- dispatch ---------------------------------------------------------
 
     def _prefetches(self, ctx: ExecutionContext) -> bool:
-        return not ctx.config.use_fiv and self._degraded is None
+        return self._degraded is None
 
     @contextmanager
     def _attempts(
@@ -825,6 +859,12 @@ class ProcessPoolBackend(ExecutionBackend):
         data: bytes,
         plans: tuple[SegmentPlan, ...],
     ) -> Iterator[Attempt]:
+        """Send every segment's first attempt up front, without its FIV
+        inputs (``unit_truth=None, fiv_time=None``), and collect each in
+        turn: a result is kept when ``fiv_time > finish_cycles`` (the
+        module docstring says why that is exact); otherwise the segment
+        is sent again with its truth and ``fiv_time``, inside the same
+        attempt."""
         obs = ctx.observer
         if self._degraded is not None:
             # The ladder's last rung outlives the run that reached it:
@@ -845,17 +885,15 @@ class ProcessPoolBackend(ExecutionBackend):
             data=data,
             engine=ctx.engine,
         )
-        submit = partial(
-            self._submit, ctx, (id(self), self._run_counter), payload
-        )
-        inline = _in_process_attempt(ctx, data, infrastructure=False)
+        token = (id(self), self._run_counter)
+        inline = _in_process_runner(ctx, data)
         samples: list[float] = []  # completed dispatch walls, for hedging
-        # Without the FIV every segment's first attempt is prefetched
-        # (checkpointed segments never are); an admission bound turns
-        # the prefetch into a window of at most that many outstanding
-        # dispatches, refilled as each segment completes.
+        # Every segment's first attempt is prefetched (checkpointed
+        # segments never are); an admission bound turns the prefetch
+        # into a window of at most that many outstanding dispatches,
+        # refilled as each segment completes.
         window = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
-        prefetched: dict[int, tuple[Future, int] | BaseException] = {}
+        prefetched: dict[int, _Dispatch | BaseException] = {}
         unsent = {
             plan.segment.index: plan
             for plan in plans
@@ -863,19 +901,122 @@ class ProcessPoolBackend(ExecutionBackend):
             and (ctx.checkpoint is None or not ctx.checkpoint.has(plan))
         }
 
-        def pump() -> None:
-            while (
-                unsent
-                and self._degraded is None
-                and (window is None or len(prefetched) < window)
-            ):
-                index = next(iter(unsent))
+        def crashed_by_another(pool: ProcessPoolExecutor | None) -> bool:
+            """Whether a prefetched dispatch on ``pool`` carried an
+            injected crash: that one is charged with the breakage."""
+            return pool is not None and any(
+                isinstance(entry, _Dispatch)
+                and entry.pool is pool
+                and entry.crashes
+                for entry in prefetched.values()
+            )
+
+        def send(
+            plan: SegmentPlan,
+            truth: dict[int, bool] | None,
+            fiv_time: int | None,
+            fault: tuple[str, float] | None,
+        ) -> _Dispatch:
+            """Dispatch to the pool, again on a fresh one when another
+            dispatch's injected crash broke it."""
+            while True:
+                pool = self._executor
                 try:
-                    prefetched[index] = submit(unsent.pop(index), None, None)
-                except RETRYABLE_ERRORS as error:
-                    # Surfaces as this segment's attempt-1 failure when
-                    # its turn to collect comes.
-                    prefetched[index] = error
+                    return self._send(
+                        ctx, token, payload, plan, truth, fiv_time, fault
+                    )
+                except WorkerCrashError:
+                    if not crashed_by_another(pool):
+                        raise
+
+        def submit(
+            plan: SegmentPlan,
+            truth: dict[int, bool] | None,
+            fiv_time: int | None,
+        ) -> _Dispatch:
+            """A fresh attempt, or a hedge copy: one fault draw."""
+            return send(
+                plan, truth, fiv_time, self._draw(ctx, plan.segment.index)
+            )
+
+        def collect(dispatch: _Dispatch) -> SegmentResult:
+            """Wait out one dispatch.  One lost with a pool that another
+            dispatch broke is sent again as the same attempt: no fault
+            draw, no retry, no ladder step."""
+            while True:
+                if self._lost(dispatch):
+                    obs.end_span(dispatch.span, args={"outcome": "lost"})
+                    index = dispatch.plan.segment.index
+                    if dispatch.crashes:
+                        raise WorkerCrashError(
+                            "process backend worker died while executing "
+                            f"segment {index} (its injected crash broke "
+                            "the pool)"
+                        )
+                    if self._degraded is not None:
+                        kind = dispatch.fault[0] if dispatch.fault else None
+                        return inline(
+                            dispatch.plan,
+                            dispatch.truth,
+                            dispatch.fiv_time,
+                            None if kind in WORKER_KINDS else kind,
+                        )
+                    dispatch = send(
+                        dispatch.plan,
+                        dispatch.truth,
+                        dispatch.fiv_time,
+                        dispatch.fault,
+                    )
+                try:
+                    return self._collect(
+                        ctx,
+                        dispatch,
+                        partial(
+                            submit,
+                            dispatch.plan,
+                            dispatch.truth,
+                            dispatch.fiv_time,
+                        ),
+                        samples,
+                    )
+                except WorkerCrashError:
+                    if dispatch.crashes or not crashed_by_another(
+                        dispatch.pool
+                    ):
+                        raise
+
+        def prefetch(index: int, make: Callable[[], _Dispatch]) -> None:
+            try:
+                prefetched[index] = make()
+            except RETRYABLE_ERRORS as error:
+                # Surfaces as this segment's attempt failure when its
+                # turn to collect comes.
+                prefetched[index] = error
+
+        def pump() -> None:
+            if self._degraded is not None:
+                return
+            # Re-send what a pool breakage lost, then top up the window.
+            for index, entry in list(prefetched.items()):
+                if (
+                    isinstance(entry, _Dispatch)
+                    and not entry.crashes
+                    and self._lost(entry)
+                ):
+                    obs.end_span(entry.span, args={"outcome": "lost"})
+                    prefetch(
+                        index,
+                        partial(
+                            send,
+                            entry.plan,
+                            entry.truth,
+                            entry.fiv_time,
+                            entry.fault,
+                        ),
+                    )
+            while unsent and (window is None or len(prefetched) < window):
+                index = next(iter(unsent))
+                prefetch(index, partial(submit, unsent.pop(index), None, None))
 
         def attempt(
             plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
@@ -888,17 +1029,37 @@ class ProcessPoolBackend(ExecutionBackend):
                 raise entry
             if entry is None:
                 if self._degraded is not None:
-                    return inline(plan, truth, fiv_time)
+                    # Worker faults (crash, hang) no longer apply: there
+                    # are no workers.  Segment-level faults still fire.
+                    return inline(
+                        plan,
+                        truth,
+                        fiv_time,
+                        _draw_fault(ctx, index, infrastructure=False),
+                    )
                 entry = submit(plan, truth, fiv_time)
-            future, span = entry
-            result = self._collect(
-                ctx,
-                future,
-                span,
-                plan,
-                partial(submit, plan, truth, fiv_time),
-                samples,
-            )
+            result = collect(entry)
+            if entry.fiv_time is None and fiv_time is not None:
+                finish = result.metrics.finish_cycles
+                if fiv_time > finish:
+                    ctx.health.speculation_hits += 1
+                else:
+                    ctx.health.speculation_misses += 1
+                    if obs.enabled:
+                        obs.instant(
+                            "speculation-miss",
+                            track=TRACK_EXEC,
+                            args={
+                                "segment": index,
+                                "fiv_time": fiv_time,
+                                "finish_cycles": finish,
+                            },
+                        )
+                    result = (
+                        inline(plan, truth, fiv_time, None)
+                        if self._degraded is not None
+                        else collect(send(plan, truth, fiv_time, None))
+                    )
             self._consecutive = 0
             pump()
             return result
@@ -910,14 +1071,34 @@ class ProcessPoolBackend(ExecutionBackend):
             # A failed run leaves its prefetched dispatches uncollected:
             # cancel them and end their spans.
             for entry in prefetched.values():
-                if not isinstance(entry, BaseException):
-                    entry[0].cancel()
+                if isinstance(entry, _Dispatch):
+                    entry.future.cancel()
                     obs.end_span(
-                        entry[1], args={"outcome": type(error).__name__}
+                        entry.span, args={"outcome": type(error).__name__}
                     )
             raise
 
-    def _submit(
+    @staticmethod
+    def _draw(
+        ctx: ExecutionContext, index: int
+    ) -> tuple[str, float] | None:
+        """One attempt's fault draw.  A host-side fault (FIV-write
+        failure) is raised here, before any dispatch: the FIV never
+        reaches the segment.  A worker fault is returned for the
+        dispatch to carry, as ``(kind, delay_s)``."""
+        fault = _draw_fault(ctx, index)
+        if fault is None:
+            return None
+        if fault in HOST_KINDS:
+            raise_fault(fault, index)
+        assert ctx.injector is not None
+        plan_faults = ctx.injector.plan
+        # hang and straggler both ship a sleep; only its magnitude
+        # (relative to timeout/hedge thresholds) differs.
+        delay = plan_faults.hang_s if fault == HANG else plan_faults.straggler_s
+        return fault, delay
+
+    def _send(
         self,
         ctx: ExecutionContext,
         token: object,
@@ -925,14 +1106,10 @@ class ProcessPoolBackend(ExecutionBackend):
         plan: SegmentPlan,
         truth: dict[int, bool] | None,
         fiv_time: int | None,
-    ) -> tuple[Future, int]:
-        """Draw this attempt's fault and dispatch it to the pool."""
+        fault: tuple[str, float] | None,
+    ) -> _Dispatch:
+        """Dispatch one segment to the pool, carrying ``fault``."""
         index = plan.segment.index
-        fault = _draw_fault(ctx, index)
-        if fault is not None and fault in HOST_KINDS:
-            # Host-side faults (FIV-write failure) happen before any
-            # dispatch: the FIV never reaches the segment.
-            raise_fault(fault, index)
         obs = ctx.observer
         obs.metrics.counter("exec.dispatches").inc()
         span_args = {
@@ -948,26 +1125,16 @@ class ProcessPoolBackend(ExecutionBackend):
             track=TRACK_EXEC,
             args=span_args,
         )
-        worker_fault = None
-        if fault is not None and ctx.injector is not None:
-            # hang and straggler both ship a sleep; only its magnitude
-            # (relative to timeout/hedge thresholds) differs.
-            plan_faults = ctx.injector.plan
-            delay = (
-                plan_faults.hang_s
-                if fault == HANG
-                else plan_faults.straggler_s
-            )
-            worker_fault = (fault, delay)
         try:
-            future = self._pool().submit(
+            pool = self._pool()
+            future = pool.submit(
                 run_segment_task,
                 token,
                 payload,
                 plan,
                 truth,
                 fiv_time,
-                worker_fault,
+                fault,
                 # Capture worker-side telemetry only when someone is
                 # listening; un-observed runs ship no extra pickles.
                 obs.enabled,
@@ -979,15 +1146,26 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"process backend could not dispatch segment {index}: "
                 f"worker pool is broken ({error})"
             ) from error
-        return future, span
+        return _Dispatch(plan, truth, fiv_time, fault, pool, future, span)
+
+    def _lost(self, dispatch: _Dispatch) -> bool:
+        """Whether ``dispatch`` went down with a pool torn down since it
+        was sent (a crash, a timeout, the ladder's last rung) instead of
+        returning."""
+        if dispatch.pool is self._executor:
+            return False
+        future = dispatch.future
+        return (
+            not future.done()
+            or future.cancelled()
+            or isinstance(future.exception(), BrokenProcessPool)
+        )
 
     def _collect(
         self,
         ctx: ExecutionContext,
-        future: Future,
-        span: int,
-        plan: SegmentPlan,
-        redispatch: Callable[[], tuple[Future, int]],
+        dispatch: _Dispatch,
+        redispatch: Callable[[], _Dispatch],
         samples: list[float],
     ) -> SegmentResult:
         """Wait out one dispatch, hedging it if it straggles.
@@ -999,13 +1177,15 @@ class ProcessPoolBackend(ExecutionBackend):
         fault injector, so seeded first-attempt faults do not re-fire
         on the copy; whichever copy finishes first wins and the loser is
         cancelled.  Both copies compute the same pure function of the
-        same inputs, so first-winner selection cannot change the cycle
-        domain.  The per-segment dispatch timeout, when set, still
+        same inputs (a copy of a dispatch sent without its FIV is sent
+        without it too), so first-winner selection cannot change the
+        cycle domain.  The per-segment dispatch timeout, when set, still
         bounds the *total* wait including the hedge.  A failed attempt
         ends the span of every copy it dispatched, naming the error.
         """
         obs = ctx.observer
-        index = plan.segment.index
+        future, span = dispatch.future, dispatch.span
+        index = dispatch.plan.segment.index
         timeout = ctx.options.retry.segment_timeout_s
         policy = self.hedge
         start = time.monotonic()
@@ -1047,9 +1227,9 @@ class ProcessPoolBackend(ExecutionBackend):
                         and time.monotonic() - start >= threshold
                     ):
                         hedged = True
-                        hedge_future, hedge_span = redispatch()
-                        outstanding[hedge_future] = hedge_span
-                        spans.append(hedge_span)
+                        hedge = redispatch()
+                        outstanding[hedge.future] = hedge.span
+                        spans.append(hedge.span)
                         ctx.health.hedges += 1
                         if obs.enabled:
                             obs.instant(

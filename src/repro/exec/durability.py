@@ -35,7 +35,7 @@ segment-level checkpointing and speculative re-execution sound:
     A pre-execution resource guard: predicts the run's peak host memory
     from the plan's exact flow counts and either refuses the run or
     bounds how many segments may be in flight at once (the process
-    backend's no-FIV path then dispatches in waves).
+    backend then dispatches in waves).
 """
 
 from __future__ import annotations
@@ -513,13 +513,15 @@ class AdmissionPolicy:
     The prediction uses the plan's *exact* per-segment flow counts (the
     same quantities ``repro.analyze``'s cost model predicts ahead of
     planning): each in-flight segment holds its flows' state vectors
-    plus its input slice.  The no-FIV process path holds every segment
-    in flight at once; every other run holds one at a time.  A run is
-    admitted when its predicted peak fits, and refused when its input
-    plus its largest segment does not.  In between — only on the no-FIV
-    path — the run is chunked: the prediction becomes a bound on
-    concurrently in-flight segments (the input is never split further —
-    cross-boundary matches make input chunking semantically unsound).
+    plus its input slice.  A process-pool run holds every segment in
+    flight at once, FIV on or off (it sends each one before its FIV
+    arrives); an in-process run, a degraded pool's included, holds one
+    at a time.  A run is admitted when its predicted peak fits, and
+    refused when its input plus its largest segment does not.  In
+    between — only on the pool — the run is chunked: the prediction
+    becomes a bound on concurrently in-flight segments (the input is
+    never split further — cross-boundary matches make input chunking
+    semantically unsound).
     """
 
     memory_budget_bytes: int | None = None
@@ -544,7 +546,8 @@ class AdmissionPolicy:
         all_in_flight: bool = False,
     ) -> AdmissionDecision:
         """The verdict on ``plans``; ``all_in_flight`` says the run
-        holds every segment at once rather than one at a time."""
+        holds every segment at once (a process-pool run, with the FIV
+        on or off) rather than one at a time (in-process)."""
         budget = self.memory_budget_bytes
         per_segment = [self.segment_bytes(plan) for plan in plans]
         max_segment = max(per_segment, default=0)

@@ -114,6 +114,13 @@ class RunHealth:
     worker_steps: list[dict] = field(default_factory=list)
     """Pool step-downs under consecutive infrastructure failures:
     ``{"segment", "workers", "consecutive", "error"}``."""
+    speculation_hits: int = 0
+    """Segments run on the pool before their FIV arrived whose result
+    was kept: the FIV lands after the segment finishes."""
+    speculation_misses: int = 0
+    """Segments sent again with their FIV because it could have fired
+    inside the speculative run.  A miss is not a failure: it uses no
+    retry and leaves :attr:`clean` alone."""
     checkpoint_path: str | None = None
     """Checkpoint file backing this run (``None`` without one).  The
     flight recorder's crash bundle carries the whole health dict, so a
@@ -158,6 +165,8 @@ class RunHealth:
             "hedges": self.hedges,
             "hedge_wins": list(self.hedge_wins),
             "worker_steps": list(self.worker_steps),
+            "speculation_hits": self.speculation_hits,
+            "speculation_misses": self.speculation_misses,
             "checkpoint_path": self.checkpoint_path,
             "checkpoint_hits": self.checkpoint_hits,
             "checkpoint_writes": self.checkpoint_writes,

@@ -76,7 +76,7 @@ def export_chrome_trace(
     # Tracks map to Perfetto threads, but one tid can only render
     # properly *nested* spans — and some tracks legitimately carry
     # partially overlapping spans (concurrent dispatches on ``exec``
-    # under no-FIV prefetch, repeated runs reusing one seg track).
+    # under the pool's prefetch, repeated runs reusing one seg track).
     # Spans therefore get a greedy per-track *lane*: a span that would
     # partially overlap an open span spills to the next lane, keyed
     # ``(track, lane)`` -> tid, so every tid holds a clean span stack

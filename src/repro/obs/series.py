@@ -70,6 +70,8 @@ def publish_health(registry: MetricsRegistry, health: dict[str, Any]) -> None:
         ("exec.downgrades", int(health["downgraded"])),
         ("exec.hedges", health["hedges"]),
         ("exec.hedge_wins", len(health["hedge_wins"])),
+        ("exec.speculation_hits", health["speculation_hits"]),
+        ("exec.speculation_misses", health["speculation_misses"]),
     ):
         registry.counter(name).inc(value)
     attempts = registry.histogram("exec.attempts_per_segment")

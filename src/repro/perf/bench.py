@@ -44,11 +44,18 @@ def trace_budget(
 def select_benchmarks(spec: str | None = None) -> tuple[str, ...]:
     """Resolve the benchmark selection for one bench run: the names of
     a comma-separated ``spec``, or the full suite when it is empty.
-    Unknown names raise :class:`ConfigurationError`.
+    Unknown names, and a non-empty ``spec`` that names no benchmark
+    (``","``), raise :class:`ConfigurationError`: a run that checks
+    nothing must not pass.
     """
     if not spec:
         return BENCHMARK_NAMES
     names = tuple(name for name in spec.split(",") if name)
+    if not names:
+        raise ConfigurationError(
+            f"benchmark selection {spec!r} names no benchmark "
+            "(see `repro list`)"
+        )
     unknown = [name for name in names if name not in BENCHMARK_NAMES]
     if unknown:
         raise ConfigurationError(

@@ -654,6 +654,81 @@ class TestWorkerStepDown:
         finally:
             backend.close()
 
+    def test_degraded_pool_without_fiv_charges_each_crash_once(
+        self, workload
+    ):
+        """The no-FIV twin of the test above, with the same counts.
+        Segment 1's crash breaks a pool that holds every other segment
+        too; only segment 1 is charged, and the dispatches lost with
+        the pool are sent again as their same first attempts."""
+        automaton, data = workload[0].automaton, workload[1]
+        pap = ParallelAutomataProcessor(
+            automaton, config=replace(DEFAULT_CONFIG, use_fiv=False)
+        )
+        cold = cycle_fingerprint(pap.run(data))
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            broken = pap.run(
+                data,
+                backend=backend,
+                options=RunOptions(
+                    retry=RetryPolicy(max_retries=4, backoff_base_s=0.0),
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=1, kind="crash", times=5),)
+                    ),
+                ),
+            )
+            assert cycle_fingerprint(broken) == cold
+            health = broken.health
+            assert health["downgraded"]
+            assert health["downgraded_at_segment"] == 1
+            assert health["crashes"] == 3
+            assert health["retries"] == 3
+            assert {
+                segment: count
+                for segment, count in health["attempts"].items()
+                if count != 1
+            } == {"1": 4}
+
+            again = pap.run(data, backend=backend)
+            assert cycle_fingerprint(again) == cold
+            assert again.health["downgraded"]
+            assert again.health["downgraded_at_segment"] == 0
+            assert again.health["crashes"] == 0
+        finally:
+            backend.close()
+
+    def test_timeout_charged_once_to_the_hung_segment(self, workload, cold):
+        """A one-worker pool queues every other segment behind a hung
+        segment 0; the timeout recycles the pool, is charged to segment
+        0 alone, and the queued dispatches are sent again."""
+        pap, data = workload
+        backend = ProcessPoolBackend(workers=1)
+        try:
+            result = pap.run(
+                data,
+                backend=backend,
+                options=RunOptions(
+                    retry=RetryPolicy(
+                        max_retries=1,
+                        backoff_base_s=0.0,
+                        segment_timeout_s=1.0,
+                    ),
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=0, kind="hang"),),
+                        hang_s=5.0,
+                    ),
+                ),
+            )
+        finally:
+            backend.close()
+        assert cycle_fingerprint(result) == cold
+        health = result.health
+        assert (health["timeouts"], health["crashes"]) == (1, 0)
+        assert health["retries"] == 1
+        assert health["attempts"]["0"] == 2
+        assert health["total_attempts"] == result.num_segments + 1
+
 
 class TestAdmission:
     def test_no_budget_admits(self, workload):
@@ -713,9 +788,11 @@ class TestAdmission:
             )
 
     def test_one_segment_at_a_time_priced_as_such(self, workload, cold, pool):
-        """In-process runs and FIV pool runs hold one segment at a time:
-        a budget that fits the input plus the largest segment admits
-        them, though every segment at once would not fit."""
+        """In-process runs hold one segment at a time: a budget that
+        fits the input plus the largest segment admits them, though
+        every segment at once would not fit.  A FIV pool run sends
+        every segment before its FIV arrives, so the same budget
+        prices all of them and bounds it to one segment in flight."""
         pap, data = workload
         probe = pap.run(
             data,
@@ -727,12 +804,22 @@ class TestAdmission:
         options = RunOptions(
             admission=AdmissionPolicy(memory_budget_bytes=budget)
         )
-        for backend in ("serial", pool):
-            result = pap.run(data, backend=backend, options=options)
-            admission = result.health["admission"]
-            assert admission["action"] == "admit"
-            assert admission["predicted_peak_bytes"] == budget
-            assert cycle_fingerprint(result) == cold
+        result = pap.run(data, options=options)
+        admission = result.health["admission"]
+        assert admission["action"] == "admit"
+        assert admission["predicted_peak_bytes"] == budget
+        assert cycle_fingerprint(result) == cold
+
+        result = pap.run(data, backend=pool, options=options)
+        admission = result.health["admission"]
+        policy = options.admission
+        all_in_flight = len(data) + sum(
+            policy.segment_bytes(plan) for plan in result.plans
+        )
+        assert admission["action"] == "chunk"
+        assert admission["predicted_peak_bytes"] == all_in_flight > budget
+        assert admission["wave_size"] == 1
+        assert cycle_fingerprint(result) == cold
 
     def test_chunk_mode_bounds_inflight_and_stays_bit_exact(
         self, workload, pool

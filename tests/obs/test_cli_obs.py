@@ -175,6 +175,20 @@ class TestRunDrift:
         summary = json.loads(capsys.readouterr().out)
         assert [d["code"] for d in summary["drift"]] == ["AP401"]
 
+    def test_tolerance_without_baseline_is_usage_error(
+        self, capsys, monkeypatch
+    ):
+        """A tolerance with no prediction to drift from would be
+        silently ignored, so it is a usage error (exit 2), reported
+        before any run starts."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("repro.cli.run_benchmark", no_run)
+        assert main(self._run(["--drift-tolerance", "0.2"])) == 2
+        assert "needs --drift-baseline" in capsys.readouterr().err
+
     def test_missing_baseline_exits_one(self, tmp_path, capsys):
         code = main(
             self._run(

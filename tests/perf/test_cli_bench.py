@@ -101,6 +101,18 @@ class TestBenchRun:
         assert code == 1
         assert "NotABenchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [",", ",,"])
+    def test_selection_naming_no_benchmark_is_usage_error(
+        self, spec, tmp_path, capsys
+    ):
+        """A selection that names no workload is a usage error (exit
+        2), not a run that checks nothing and passes."""
+        out = tmp_path / "x.json"
+        code = main(["bench", "run", "--benchmarks", spec, "--out", str(out)])
+        assert code == 2
+        assert "names no benchmark" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_fault_spec_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
