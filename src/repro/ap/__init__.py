@@ -1,16 +1,9 @@
 """Automata Processor hardware model: geometry, placement (the footprint
 rule that sets the segment count), the state-vector cache (slot
 occupancy and traffic; the flows themselves are run by
-:mod:`repro.core.scheduler`), counters, output events, timing, and the
+:mod:`repro.core.scheduler`), output events, timing, and the
 sequential baseline."""
 
-from repro.ap.counters import (
-    BooleanElement,
-    CounterBank,
-    CounterElement,
-    CounterEvent,
-    CounterMode,
-)
 from repro.ap.events import OutputEvent, OutputEventBuffer
 from repro.ap.geometry import (
     FOUR_RANKS,
@@ -28,11 +21,6 @@ from repro.ap.timing import DEFAULT_TIMING, SYMBOL_CYCLE_NS, TimingModel
 __all__ = [
     "BaselineResult",
     "BoardGeometry",
-    "BooleanElement",
-    "CounterBank",
-    "CounterElement",
-    "CounterEvent",
-    "CounterMode",
     "DEFAULT_TIMING",
     "FOUR_RANKS",
     "ONE_RANK",

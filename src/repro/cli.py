@@ -5,8 +5,8 @@
 * ``list`` — the 19 evaluation benchmarks and their Table 1 rows;
 * ``run`` — one benchmark end to end (baseline vs. PAP) with metrics,
   optionally explained by a Chrome trace (``--trace``) and by the
-  verified phase profile (``--profile``) with its speedscope and
-  collapsed-stack exports (``--speedscope``, ``--folded``);
+  verified phase profile (``--profile``) with its speedscope export
+  (``--speedscope``);
 * ``bench`` — benchmark artifacts and regression gating: ``run``
   captures a ``BENCH_*.json``, ``compare`` diffs two artifacts
   exactly, ``report`` renders one;
@@ -51,7 +51,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec import (
-    AdmissionPolicy,
     BACKEND_NAMES,
     ENGINE_CHOICES,
     ExecutionBackend,
@@ -93,7 +92,6 @@ from repro.obs import (
     render_openmetrics,
     render_phase_profile,
     summarize_ledger,
-    to_folded,
     to_speedscope,
     validate_chrome_trace,
     validate_speedscope,
@@ -223,14 +221,12 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
 
 
 def _options_from_args(args: argparse.Namespace) -> RunOptions:
-    """The run's :class:`RunOptions` from the recovery flags (and the
-    admission flags, which only ``run`` has).
+    """The run's :class:`RunOptions` from the engine and recovery flags.
 
     Raises :class:`ConfigurationError` on invalid values or
     combinations — the caller maps that to a usage error (exit 2), same
     as bad backend flags.
     """
-    budget = getattr(args, "memory_budget", None)
     return RunOptions(
         engine=args.engine,
         retry=RetryPolicy(
@@ -241,11 +237,6 @@ def _options_from_args(args: argparse.Namespace) -> RunOptions:
         ),
         checkpoint=args.checkpoint,
         resume=args.resume,
-        admission=(
-            AdmissionPolicy(memory_budget_bytes=budget)
-            if budget is not None
-            else None
-        ),
     )
 
 
@@ -298,7 +289,7 @@ def _add_workload(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=0.1,
         help="workload scale relative to the paper's state counts",
     )
@@ -437,19 +428,6 @@ def _print_run_text(summary: dict) -> None:
             f"({ckpt['hits']} hits, {ckpt['writes']} writes"
             f"{', resumed' if ckpt.get('resumed') else ''})"
         )
-    admission = health.get("admission")
-    if admission:
-        print(
-            f"admission        : {admission['action']} "
-            f"(predicted peak {admission['predicted_peak_bytes']} B, "
-            f"budget {admission['budget_bytes']} B"
-            + (
-                f", wave {admission['wave_size']} segments"
-                if admission.get("wave_size")
-                else ""
-            )
-            + ")"
-        )
     print(
         f"reports          : {summary['reports']} "
         f"(amplification {summary['event_amplification']:.2f}x, "
@@ -537,7 +515,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # worse than none.
     check = (
         verify_phase_totals(run.pap)
-        if args.profile or args.speedscope or args.folded
+        if args.profile or args.speedscope
         else None
     )
     if args.format == "json":
@@ -583,13 +561,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2)
         print(
             f"profile written  : {args.speedscope} (open in speedscope.app)",
-            file=out_stream,
-        )
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(to_folded(phases, root=run.name))
-        print(
-            f"folded written   : {args.folded} (collapsed-stack format)",
             file=out_stream,
         )
     if check is not None and args.profile and args.format == "text":
@@ -1260,11 +1231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the verified cycle attribution as a speedscope profile",
     )
     run_parser.add_argument(
-        "--folded",
-        metavar="PATH",
-        help="write the verified cycle attribution as collapsed stacks",
-    )
-    run_parser.add_argument(
         "--ledger",
         metavar="PATH",
         help=(
@@ -1302,18 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend(run_parser)
     _add_resilience(run_parser)
-    run_parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "admission guard: refuse a run whose input plus largest "
-            "segment exceeds BYTES; a --backend process run, which "
-            "sends every segment at once, that fits one segment but "
-            "not all of them dispatches segments in waves that fit"
-        ),
-    )
     _add_common(run_parser)
 
     chaos_parser = commands.add_parser(

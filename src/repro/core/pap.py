@@ -262,9 +262,9 @@ class ParallelAutomataProcessor:
         ``options`` (:class:`~repro.exec.RunOptions`) says how the run
         steps its flows (the engine, ``auto`` by default, on either
         backend), recovers and persists (retries, injected faults, a
-        checkpoint to write through or resume from, an admission
-        guard), and :meth:`~repro.exec.ExecutionBackend.execute` owns
-        that lifecycle.  None of it moves the cycle domain; what happened is
+        checkpoint to write through or resume from), and
+        :meth:`~repro.exec.ExecutionBackend.execute` owns that
+        lifecycle.  None of it moves the cycle domain; what happened is
         recorded in ``result.extra["health"]`` (and
         ``extra["checkpoint"]``).
 

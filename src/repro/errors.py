@@ -113,11 +113,6 @@ class CheckpointError(ReproError):
     store drops them and the affected segments re-execute."""
 
 
-class AdmissionError(ReproError):
-    """The admission guard refused a run predicted to exceed its
-    resource budget (see :class:`repro.exec.durability.AdmissionPolicy`)."""
-
-
 class ArtifactError(ReproError):
     """A benchmark artifact (``BENCH_*.json``) is missing, malformed,
     or carries an unsupported schema version."""

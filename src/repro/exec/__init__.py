@@ -7,8 +7,8 @@ backend), recovers and persists; :mod:`repro.exec.worker`
 for the spawn-safe worker protocol, :mod:`repro.exec.faults` for
 deterministic fault injection, :mod:`repro.exec.resilience` for the
 retry/backoff policy and run-health accounting, and
-:mod:`repro.exec.durability` for the checkpoint/resume store, straggler
-hedging, and admission guard.
+:mod:`repro.exec.durability` for the checkpoint/resume store and
+straggler hedging.
 """
 
 from repro.automata.vector import ENGINE_CHOICES
@@ -24,8 +24,6 @@ from repro.exec.backend import (
     resolve_backend,
 )
 from repro.exec.durability import (
-    AdmissionDecision,
-    AdmissionPolicy,
     CheckpointRun,
     CheckpointStore,
     HedgePolicy,
@@ -45,8 +43,6 @@ from repro.exec.resilience import (
 )
 
 __all__ = [
-    "AdmissionDecision",
-    "AdmissionPolicy",
     "BACKEND_NAMES",
     "CheckpointRun",
     "CheckpointStore",

@@ -8,7 +8,7 @@ paper's runtime (Section 3.4): resolve a segment's flow-invalidation
 inputs from its composed predecessor, run it (or replay it from a
 checkpoint), compose it on the host, and advance the availability
 chain.  Around that loop :meth:`~ExecutionBackend.execute` also owns
-the run lifecycle that :class:`RunOptions` drives: the admission guard,
+the run lifecycle that :class:`RunOptions` drives: the engine choice,
 the checkpoint, the fault injector, run health, and the observer's
 ``run_failed`` hook.  A backend supplies only *one attempt* at one
 segment:
@@ -89,7 +89,6 @@ from repro.core.composition import (
 from repro.core.config import PAPConfig
 from repro.core.scheduler import SegmentPlan, SegmentResult, SegmentScheduler
 from repro.errors import (
-    AdmissionError,
     ConfigurationError,
     ExecutionError,
     RETRYABLE_ERRORS,
@@ -99,7 +98,6 @@ from repro.errors import (
 )
 from repro.exec.durability import (
     HEDGE_POLL_S,
-    AdmissionPolicy,
     CheckpointRun,
     CheckpointStore,
     HedgePolicy,
@@ -149,8 +147,7 @@ class RunOptions:
     ``retry`` bounds recovery (default fail-fast); ``faults`` injects a
     deterministic :class:`~repro.exec.faults.FaultPlan`; ``checkpoint``
     (a store or directory) writes every finished segment through, and
-    ``resume`` replays the segments it already holds; ``admission``
-    checks the plan against a memory budget before anything runs.
+    ``resume`` replays the segments it already holds.
     """
 
     engine: str = "auto"
@@ -158,7 +155,6 @@ class RunOptions:
     faults: FaultPlan | None = None
     checkpoint: CheckpointStore | str | None = None
     resume: bool = False
-    admission: AdmissionPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_CHOICES:
@@ -187,11 +183,6 @@ class ExecutionContext:
     health: RunHealth = field(default_factory=RunHealth)
     injector: FaultInjector | None = None
     checkpoint: CheckpointRun | None = None
-    max_inflight: int | None = None
-    """Admission-guard bound on concurrently in-flight segment
-    dispatches (``None`` = unbounded).  Consumed by the process
-    backend, which otherwise sends every segment at once, FIV on or
-    off; serial execution is inherently one segment at a time."""
 
 
 @dataclass(frozen=True)
@@ -276,32 +267,6 @@ def _in_process_runner(ctx: ExecutionContext, data: bytes) -> InProcessRun:
     return run
 
 
-def _admit(
-    ctx: ExecutionContext,
-    health: RunHealth,
-    plans: tuple[SegmentPlan, ...],
-    data: bytes,
-    *,
-    all_in_flight: bool,
-) -> int | None:
-    """The admission guard's in-flight bound; raises if it refuses."""
-    if ctx.options.admission is None:
-        return None
-    decision = ctx.options.admission.check(
-        plans, input_bytes=len(data), all_in_flight=all_in_flight
-    )
-    health.admission = decision.to_dict()
-    if ctx.observer.enabled:
-        ctx.observer.instant(
-            "admission", track=TRACK_RUN, args=health.admission
-        )
-    if decision.action == "refuse":
-        raise AdmissionError(
-            f"admission guard refused the run: {decision.reason}"
-        )
-    return decision.wave_size
-
-
 def _choose_engine(ctx: ExecutionContext, health: RunHealth) -> str:
     """Resolve the run's engine option once, into health and the ledger."""
     engine, reason = choose_engine(ctx.options.engine, len(ctx.compiled))
@@ -380,14 +345,14 @@ class ExecutionBackend:
     ) -> Execution:
         """Run one planned input under ``ctx.options``.
 
-        The options are checked against this backend first, the engine
-        is chosen, and the admission guard decides next, so a rejected
-        or refused run never touches the checkpoint; then the
-        checkpoint opens and the segment loop runs, every attempt on
-        the chosen engine.  One ``finally`` settles health, closes
-        the checkpoint and publishes the recovery series on every exit;
-        on failure the observer's ``run_failed`` hook (the flight
-        recorder's crash bundle) then gets that settled health.
+        The options are checked against this backend first and the
+        engine is chosen next, so a rejected run never touches the
+        checkpoint; then the checkpoint opens and the segment loop
+        runs, every attempt on the chosen engine.  One ``finally``
+        settles health, closes the checkpoint and publishes the
+        recovery series on every exit; on failure the observer's
+        ``run_failed`` hook (the flight recorder's crash bundle) then
+        gets that settled health.
         """
         options = ctx.options
         self.check_options(options)
@@ -397,9 +362,6 @@ class ExecutionBackend:
         failure: Exception | None = None
         try:
             engine = _choose_engine(ctx, health)
-            max_inflight = _admit(
-                ctx, health, plans, data, all_in_flight=self._prefetches(ctx)
-            )
             checkpoint = _open_checkpoint(ctx, health, plans, data)
             ctx = replace(
                 ctx,
@@ -407,7 +369,6 @@ class ExecutionBackend:
                 health=health,
                 injector=injector,
                 checkpoint=checkpoint,
-                max_inflight=max_inflight,
             )
             outcomes = self._run_segments(ctx, data, plans)
         except Exception as error:
@@ -488,12 +449,6 @@ class ExecutionBackend:
     def check_options(self, options: RunOptions) -> None:
         """Raise :class:`ConfigurationError` for an option this backend
         cannot honour, so that none is silently ignored."""
-
-    def _prefetches(self, ctx: ExecutionContext) -> bool:
-        """Whether this run dispatches every segment at once (so the
-        admission guard prices them all) instead of one at a time: a
-        pool that has not degraded to in-process execution does."""
-        return False
 
     def _attempt_failed(
         self, ctx: ExecutionContext, plan: SegmentPlan, error: BaseException
@@ -849,9 +804,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- dispatch ---------------------------------------------------------
 
-    def _prefetches(self, ctx: ExecutionContext) -> bool:
-        return self._degraded is None
-
     @contextmanager
     def _attempts(
         self,
@@ -888,18 +840,7 @@ class ProcessPoolBackend(ExecutionBackend):
         token = (id(self), self._run_counter)
         inline = _in_process_runner(ctx, data)
         samples: list[float] = []  # completed dispatch walls, for hedging
-        # Every segment's first attempt is prefetched (checkpointed
-        # segments never are); an admission bound turns the prefetch
-        # into a window of at most that many outstanding dispatches,
-        # refilled as each segment completes.
-        window = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
         prefetched: dict[int, _Dispatch | BaseException] = {}
-        unsent = {
-            plan.segment.index: plan
-            for plan in plans
-            if self._prefetches(ctx)
-            and (ctx.checkpoint is None or not ctx.checkpoint.has(plan))
-        }
 
         def crashed_by_another(pool: ProcessPoolExecutor | None) -> bool:
             """Whether a prefetched dispatch on ``pool`` carried an
@@ -994,9 +935,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 prefetched[index] = error
 
         def pump() -> None:
+            """Re-send what a pool breakage lost."""
             if self._degraded is not None:
                 return
-            # Re-send what a pool breakage lost, then top up the window.
             for index, entry in list(prefetched.items()):
                 if (
                     isinstance(entry, _Dispatch)
@@ -1014,16 +955,11 @@ class ProcessPoolBackend(ExecutionBackend):
                             entry.fault,
                         ),
                     )
-            while unsent and (window is None or len(prefetched) < window):
-                index = next(iter(unsent))
-                prefetch(index, partial(submit, unsent.pop(index), None, None))
 
         def attempt(
             plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
         ) -> SegmentResult:
             index = plan.segment.index
-            # A segment whose window never came up is dispatched here.
-            unsent.pop(index, None)
             entry = prefetched.pop(index, None)
             if isinstance(entry, BaseException):
                 raise entry
@@ -1065,7 +1001,15 @@ class ProcessPoolBackend(ExecutionBackend):
             return result
 
         try:
-            pump()
+            # Every segment's first attempt goes out at once, unless the
+            # pool has degraded (checkpointed segments never do).
+            if self._degraded is None:
+                for plan in plans:
+                    if ctx.checkpoint is None or not ctx.checkpoint.has(plan):
+                        prefetch(
+                            plan.segment.index,
+                            partial(submit, plan, None, None),
+                        )
             yield attempt
         except Exception as error:
             # A failed run leaves its prefetched dispatches uncollected:

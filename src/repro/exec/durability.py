@@ -1,4 +1,4 @@
-"""Durability layer: checkpoint/resume, straggler hedging, admission.
+"""Durability layer: checkpoint/resume and straggler hedging.
 
 A host-parallel run is only as durable as its weakest process: a worker
 can die (the retry loop and the process backend's failure ladder
@@ -30,12 +30,6 @@ segment-level checkpointing and speculative re-execution sound:
     completed walls is speculatively re-dispatched and the first
     result wins.  Bit-exact by construction — both dispatches compute
     the same pure function.
-
-:class:`AdmissionPolicy`
-    A pre-execution resource guard: predicts the run's peak host memory
-    from the plan's exact flow counts and either refuses the run or
-    bounds how many segments may be in flight at once (the process
-    backend then dispatches in waves).
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.ap.events import OutputEvent
-from repro.ap.geometry import STATE_VECTOR_BITS
 from repro.automata.anml import Automaton
 from repro.automata.serialization import automaton_to_dict
 from repro.core.config import PAPConfig
@@ -478,114 +471,4 @@ class HedgePolicy:
         spread = max(mad, 0.05 * median)
         return max(
             HEDGE_MIN_THRESHOLD_S, median + self.mad_multiplier * spread
-        )
-
-
-# -- admission guard --------------------------------------------------------
-
-#: Modeled resident bytes per flow: three state-vector-sized bitsets
-#: (current, latched, SVC slot) on the board's state vector, plus
-#: Python object bookkeeping.  Deliberately a round, documented figure:
-#: admission is a guard rail, not an allocator.
-BYTES_PER_FLOW = 3 * (STATE_VECTOR_BITS // 8) + 512
-
-
-@dataclasses.dataclass(frozen=True)
-class AdmissionDecision:
-    """The admission guard's verdict for one planned run."""
-
-    action: str
-    """``admit``, ``chunk`` (bound in-flight segments), or ``refuse``."""
-    predicted_peak_bytes: int
-    max_segment_bytes: int
-    budget_bytes: int | None
-    wave_size: int | None
-    reason: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class AdmissionPolicy:
-    """Admit, chunk or refuse runs against a memory budget.
-
-    The prediction uses the plan's *exact* per-segment flow counts (the
-    same quantities ``repro.analyze``'s cost model predicts ahead of
-    planning): each in-flight segment holds its flows' state vectors
-    plus its input slice.  A process-pool run holds every segment in
-    flight at once, FIV on or off (it sends each one before its FIV
-    arrives); an in-process run, a degraded pool's included, holds one
-    at a time.  A run is admitted when its predicted peak fits, and
-    refused when its input plus its largest segment does not.  In
-    between — only on the pool — the run is chunked: the prediction
-    becomes a bound on concurrently in-flight segments (the input is
-    never split further — cross-boundary matches make input chunking
-    semantically unsound).
-    """
-
-    memory_budget_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.memory_budget_bytes is not None
-            and self.memory_budget_bytes < 1
-        ):
-            raise ConfigurationError("memory budget must be positive")
-
-    def segment_bytes(self, plan: SegmentPlan) -> int:
-        """Predicted resident bytes for one in-flight segment."""
-        flows = len(plan.flows) + 2  # + ASG flow + golden/report slack
-        return flows * BYTES_PER_FLOW + plan.segment.length
-
-    def check(
-        self,
-        plans: Sequence[SegmentPlan],
-        *,
-        input_bytes: int,
-        all_in_flight: bool = False,
-    ) -> AdmissionDecision:
-        """The verdict on ``plans``; ``all_in_flight`` says the run
-        holds every segment at once (a process-pool run, with the FIV
-        on or off) rather than one at a time (in-process)."""
-        budget = self.memory_budget_bytes
-        per_segment = [self.segment_bytes(plan) for plan in plans]
-        max_segment = max(per_segment, default=0)
-        peak = input_bytes + (
-            sum(per_segment) if all_in_flight else max_segment
-        )
-        if budget is None or peak <= budget:
-            return AdmissionDecision(
-                action="admit",
-                predicted_peak_bytes=peak,
-                max_segment_bytes=max_segment,
-                budget_bytes=budget,
-                wave_size=None,
-                reason="predicted peak within budget",
-            )
-        if input_bytes + max_segment > budget:
-            # Even one segment at a time cannot fit: chunking cannot
-            # help (the input is never split further).
-            return AdmissionDecision(
-                action="refuse",
-                predicted_peak_bytes=peak,
-                max_segment_bytes=max_segment,
-                budget_bytes=budget,
-                wave_size=None,
-                reason=(
-                    f"largest segment needs ~{input_bytes + max_segment} "
-                    f"bytes, over the {budget} byte budget"
-                ),
-            )
-        wave = max(1, (budget - input_bytes) // max_segment)
-        return AdmissionDecision(
-            action="chunk",
-            predicted_peak_bytes=peak,
-            max_segment_bytes=max_segment,
-            budget_bytes=budget,
-            wave_size=wave,
-            reason=(
-                f"predicted peak ~{peak} bytes exceeds the {budget} byte "
-                f"budget; bounding in-flight segments to {wave}"
-            ),
         )

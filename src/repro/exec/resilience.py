@@ -127,8 +127,6 @@ class RunHealth:
     crashed run's bundle names where its resumable state lives."""
     checkpoint_hits: int = 0
     checkpoint_writes: int = 0
-    admission: dict | None = None
-    """The admission guard's decision for this run, when one ran."""
 
     def record_attempt(self, segment: int) -> None:
         self.attempts[segment] = self.attempts.get(segment, 0) + 1
@@ -170,7 +168,6 @@ class RunHealth:
             "checkpoint_path": self.checkpoint_path,
             "checkpoint_hits": self.checkpoint_hits,
             "checkpoint_writes": self.checkpoint_writes,
-            "admission": self.admission,
             "faults_injected": len(self.injected),
             "injected_faults": list(self.injected),
             "attempts": {

@@ -31,7 +31,6 @@ from repro.obs.phases import (
     PhaseRecorder,
     render_phase_profile,
     summarize_run_phases,
-    to_folded,
     to_speedscope,
     validate_speedscope,
     verify_phase_totals,
@@ -103,7 +102,6 @@ __all__ = [
     "summarize_ledger",
     "summarize_run_phases",
     "summarize_workers",
-    "to_folded",
     "to_speedscope",
     "validate_chrome_trace",
     "validate_speedscope",

@@ -37,9 +37,8 @@ The phases:
 ``report``
     Draining the output event buffer on the host.
 
-Renderers: a text table (:func:`render_phase_profile`), a
-collapsed-stack export (:func:`to_folded`), and a speedscope JSON
-profile (:func:`to_speedscope`, checked by
+Renderers: a text table (:func:`render_phase_profile`) and a
+speedscope JSON profile (:func:`to_speedscope`, checked by
 :func:`validate_speedscope`).
 """
 
@@ -387,26 +386,6 @@ def render_phase_profile(summary: dict) -> str:
                 f"{entry['finish_cycles']:>12} {entry['tcpu_cycles']:>10}"
             )
     return "\n".join(lines)
-
-
-def to_folded(summary: dict, *, root: str = "pap") -> str:
-    """Collapsed-stack ("folded") export of the cycle-domain phases.
-
-    One line per stack, ``root;frame;frame count`` — the format
-    flamegraph tooling and speedscope both ingest.
-    """
-    lines: list[str] = []
-    for entry in summary["per_segment"]:
-        seg = f"segment[{entry['segment']}]"
-        for phase in (PHASE_TRANSITION, PHASE_SWITCH, PHASE_CONVERGENCE):
-            if entry[phase] > 0:
-                lines.append(f"{root};{seg};{phase} {entry[phase]}")
-        if entry["tcpu_cycles"] > 0:
-            lines.append(f"{root};{seg};{PHASE_DECODE} {entry['tcpu_cycles']}")
-    report = summary["cycles"].get(PHASE_REPORT, 0)
-    if report > 0:
-        lines.append(f"{root};{PHASE_REPORT} {report}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def to_speedscope(summary: dict, *, name: str = "pap run") -> dict:

@@ -179,8 +179,8 @@ def run_benchmark(
     backends.  Pass a backend *instance* to reuse one worker pool
     across repeated runs (the caller closes it).
 
-    ``options`` (:class:`~repro.exec.RunOptions`: retries, faults,
-    checkpoint/resume, admission) passes through to
+    ``options`` (:class:`~repro.exec.RunOptions`: engine, retries,
+    faults, checkpoint/resume) passes through to
     :meth:`ParallelAutomataProcessor.run`.  Recovered and resumed runs
     are bit-exact in the cycle domain, so the ``to_dict`` payload stays
     identical under injected faults and across a kill-and-resume — what

@@ -1,5 +1,4 @@
-"""Durability tests: checkpoint/resume, hedging, the failure ladder,
-admission.
+"""Durability tests: checkpoint/resume, hedging, the failure ladder.
 
 The load-bearing property is ISSUE 10's acceptance criterion: a
 resumed run — including one resumed from a checkpoint written by a
@@ -25,13 +24,8 @@ from hypothesis import strategies as st
 from repro.automata.random_gen import random_ruleset_automaton
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.pap import ParallelAutomataProcessor
-from repro.errors import (
-    AdmissionError,
-    CheckpointError,
-    ConfigurationError,
-)
+from repro.errors import CheckpointError, ConfigurationError
 from repro.exec import (
-    AdmissionPolicy,
     CheckpointStore,
     FaultPlan,
     FaultSpec,
@@ -728,120 +722,6 @@ class TestWorkerStepDown:
         assert health["retries"] == 1
         assert health["attempts"]["0"] == 2
         assert health["total_attempts"] == result.num_segments + 1
-
-
-class TestAdmission:
-    def test_no_budget_admits(self, workload):
-        pap, data = workload
-        decision = AdmissionPolicy().check((), input_bytes=len(data))
-        assert decision.action == "admit"
-
-    def test_refuse_mode_raises_before_execution(self, workload):
-        """A budget under the input plus the largest segment refuses
-        the run, whatever the backend could hold in flight."""
-        pap, data = workload
-        with pytest.raises(AdmissionError, match="largest segment"):
-            pap.run(
-                data,
-                options=RunOptions(
-                    admission=AdmissionPolicy(memory_budget_bytes=10_000)
-                ),
-            )
-
-    def test_refused_run_keeps_the_checkpoint(self, workload, tmp_path):
-        """The guard decides before the checkpoint opens: a refused run
-        must not discard the file a later resume needs."""
-        pap, data = workload
-        first = pap.run(data, options=RunOptions(checkpoint=str(tmp_path)))
-        with pytest.raises(AdmissionError):
-            pap.run(
-                data,
-                options=RunOptions(
-                    checkpoint=str(tmp_path),
-                    admission=AdmissionPolicy(memory_budget_bytes=1),
-                ),
-            )
-        resumed = pap.run(
-            data, options=RunOptions(checkpoint=str(tmp_path), resume=True)
-        )
-        assert resumed.extra["checkpoint"]["hits"] == first.num_segments
-        assert resumed.extra["checkpoint"]["writes"] == 0
-
-    def test_unfittable_segment_refused_even_in_chunk_mode(
-        self, workload, pool
-    ):
-        """On the no-FIV pool path, where a bound on in-flight segments
-        would otherwise apply, a budget under the input plus the
-        largest segment still refuses: chunking cannot split a
-        segment."""
-        automaton, data = workload[0].automaton, workload[1]
-        pap = ParallelAutomataProcessor(
-            automaton, config=replace(DEFAULT_CONFIG, use_fiv=False)
-        )
-        with pytest.raises(AdmissionError, match="largest segment"):
-            pap.run(
-                data,
-                backend=pool,
-                options=RunOptions(
-                    admission=AdmissionPolicy(memory_budget_bytes=10_000)
-                ),
-            )
-
-    def test_one_segment_at_a_time_priced_as_such(self, workload, cold, pool):
-        """In-process runs hold one segment at a time: a budget that
-        fits the input plus the largest segment admits them, though
-        every segment at once would not fit.  A FIV pool run sends
-        every segment before its FIV arrives, so the same budget
-        prices all of them and bounds it to one segment in flight."""
-        pap, data = workload
-        probe = pap.run(
-            data,
-            options=RunOptions(
-                admission=AdmissionPolicy(memory_budget_bytes=10**12)
-            ),
-        )
-        budget = len(data) + probe.health["admission"]["max_segment_bytes"]
-        options = RunOptions(
-            admission=AdmissionPolicy(memory_budget_bytes=budget)
-        )
-        result = pap.run(data, options=options)
-        admission = result.health["admission"]
-        assert admission["action"] == "admit"
-        assert admission["predicted_peak_bytes"] == budget
-        assert cycle_fingerprint(result) == cold
-
-        result = pap.run(data, backend=pool, options=options)
-        admission = result.health["admission"]
-        policy = options.admission
-        all_in_flight = len(data) + sum(
-            policy.segment_bytes(plan) for plan in result.plans
-        )
-        assert admission["action"] == "chunk"
-        assert admission["predicted_peak_bytes"] == all_in_flight > budget
-        assert admission["wave_size"] == 1
-        assert cycle_fingerprint(result) == cold
-
-    def test_chunk_mode_bounds_inflight_and_stays_bit_exact(
-        self, workload, pool
-    ):
-        """Only the no-FIV pool path prefetches every segment, so only
-        there does a chunk bound apply."""
-        automaton, data = workload[0].automaton, workload[1]
-        pap = ParallelAutomataProcessor(
-            automaton, config=replace(DEFAULT_CONFIG, use_fiv=False)
-        )
-        cold = cycle_fingerprint(pap.run(data))
-        result = pap.run(
-            data,
-            backend=pool,
-            options=RunOptions(
-                admission=AdmissionPolicy(memory_budget_bytes=400_000)
-            ),
-        )
-        admission = result.health["admission"]
-        assert admission["action"] == "chunk"
-        assert 1 <= admission["wave_size"] < result.num_segments
-        assert cycle_fingerprint(result) == cold
 
 
 class TestFaultPlanExtensions:

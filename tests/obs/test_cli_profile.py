@@ -1,5 +1,5 @@
 """CLI surface for the phase profiler: ``repro run --profile`` and its
-speedscope/folded exports, read back by ``repro obs summary``."""
+speedscope export, read back by ``repro obs summary``."""
 
 import json
 
@@ -23,7 +23,6 @@ class TestParser:
         assert not args.profile
         assert args.format == "text"
         assert args.speedscope is None
-        assert args.folded is None
         assert args.backend == "serial"
 
     def test_help_mentions_exports(self, capsys):
@@ -31,7 +30,6 @@ class TestParser:
             build_parser().parse_args(["run", "--help"])
         helptext = capsys.readouterr().out
         assert "--speedscope" in helptext
-        assert "--folded" in helptext
         assert "--profile" in helptext
 
 
@@ -72,16 +70,6 @@ class TestProfileCommand:
         capsys.readouterr()
         assert main(["obs", "summary", str(path)]) == 0
         assert "valid speedscope profile" in capsys.readouterr().out
-
-    def test_folded_export_parses(self, capsys, tmp_path):
-        path = tmp_path / "profile.folded"
-        assert main(self.ARGS + ["--folded", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        assert lines
-        for line in lines:
-            stack, count = line.rsplit(" ", 1)
-            assert stack.startswith("Bro217;")
-            assert int(count) > 0
 
     def test_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

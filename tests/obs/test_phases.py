@@ -25,7 +25,6 @@ from repro.obs.phases import (
     PhaseAccumulator,
     hot_phase,
     render_phase_profile,
-    to_folded,
     to_speedscope,
     validate_speedscope,
     verify_phase_totals,
@@ -178,15 +177,6 @@ class TestRenderers:
         assert "hot=" in text
         assert "enumerated" in text  # per-segment rows present
 
-    def test_folded_lines_parse_and_cover_segment_cycles(self, snort_run):
-        phases = snort_run.pap.phases
-        total = 0
-        for line in to_folded(phases).splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert stack.startswith("pap;")
-            total += int(count)
-        assert total == phases["accounted_cycles"]
-
     def test_speedscope_validates_and_sums(self, snort_run):
         phases = snort_run.pap.phases
         payload = to_speedscope(phases, name="snort")
@@ -194,6 +184,28 @@ class TestRenderers:
         profile = payload["profiles"][0]
         assert profile["endValue"] == phases["accounted_cycles"]
         assert profile["name"] == "snort"
+        names = [frame["name"] for frame in payload["shared"]["frames"]]
+        weights: dict[str, int] = {}
+        opened: list[int] = []
+        for event in profile["events"]:
+            if event["type"] == "O":
+                opened.append(event["at"])
+                continue
+            name = names[event["frame"]]
+            weights[name] = weights.get(name, 0) + event["at"] - opened.pop()
+        rows = phases["per_segment"]
+        expected = {
+            phase: sum(row[phase] for row in rows)
+            for phase in (PHASE_TRANSITION, PHASE_SWITCH, PHASE_CONVERGENCE)
+        }
+        expected[PHASE_DECODE] = sum(row["tcpu_cycles"] for row in rows)
+        expected[PHASE_REPORT] = phases["cycles"][PHASE_REPORT]
+        for phase, cycles in expected.items():
+            assert weights.get(phase, 0) == cycles == phases["cycles"][phase]
+        for row in rows:
+            assert weights.get(f"segment[{row['segment']}]", 0) == (
+                row["finish_cycles"] + row["tcpu_cycles"]
+            )
 
 
 class TestValidateSpeedscope:

@@ -147,31 +147,6 @@ class TestBenchRun:
         assert "segment timeout" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_admission_flags_are_run_only(self, tmp_path):
-        """The admission guard is a `repro run` option: `bench run`
-        rejects its flags as a usage error instead of dropping them and
-        writing an artifact."""
-        out = tmp_path / "x.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "bench",
-                    "run",
-                    "--benchmarks",
-                    "Ranges1",
-                    "--scale",
-                    "0.05",
-                    "--trace-bytes",
-                    "2048",
-                    "--memory-budget",
-                    "1",
-                    "--out",
-                    str(out),
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert not out.exists()
-
     def test_parameters_block_records_every_run_option(self, tmp_path):
         """The artifact's ``parameters`` name the backend, the requested
         engine and every run option the flags set, value for value."""

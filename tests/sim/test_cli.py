@@ -153,10 +153,30 @@ class TestCommands:
         assert "segment timeout" in capsys.readouterr().err
         assert ledger.read_text() == "kept\n"
 
-    def test_run_rejects_non_positive_scale(self, capsys):
-        code = main(["run", "Bro217", "--scale", "-3"])
-        assert code == 2
-        assert "scale must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "Bro217"],
+            ["chaos", "Ranges1"],
+            ["bench", "run"],
+            ["lint", "ExactMatch"],
+            ["analyze", "ExactMatch"],
+            ["table1"],
+            ["fig3"],
+            ["speculate", "Dotstar03"],
+        ],
+        ids=[
+            "run", "chaos", "bench-run", "lint", "analyze", "table1",
+            "fig3", "speculate",
+        ],
+    )
+    def test_run_rejects_non_positive_scale(self, command, capsys):
+        """``--scale`` is one flag on every subcommand, and a
+        non-positive value is a usage error (exit 2) on each."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--scale", "-3"])
+        assert excinfo.value.code == 2
+        assert "--scale: must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
